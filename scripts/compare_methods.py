@@ -3,19 +3,13 @@
 
 For each fixture and a batch of random positive weight draws, prints the
 worst relative deviation of each Pfaffian route from the brute-force curve
-sum.  Everything should sit at rounding level.
+sum, as measured by ``pfising verify``.  Everything should sit at rounding
+level.
 """
 import argparse
 
-import numpy as np
-
-from pfising.fixtures import fixture_names, get_fixture
-from pfising.partition import (
-    NonplanarSolver,
-    PlanarPfaffianSolver,
-    WeightFunction,
-    z_bruteforce,
-)
+from pfising.fixtures import fixture_names
+from pfising.verify import verify_fixture
 
 
 def main():
@@ -23,33 +17,10 @@ def main():
     parser.add_argument("--draws", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    rng = np.random.default_rng(args.seed)
 
     for name in fixture_names():
-        fx = get_fixture(name)
-        g = fx.graph
-        if fx.planar:
-            solver = PlanarPfaffianSolver(g, fx.scheme)
-            routes = {"planar": solver.evaluate}
-        else:
-            scheme = (fx.alt_schemes or {}).get("even-crosscaps", fx.scheme)
-            solver = NonplanarSolver(g, scheme)
-            routes = {
-                "multicomplex": solver.evaluate_multicomplex,
-                "complex-sum": solver.evaluate_complex_sum,
-            }
-            try:
-                solver.evaluate_real_sum(WeightFunction.uniform(0.5, g.num_edges))
-                routes["real-sum"] = solver.evaluate_real_sum
-            except Exception:
-                pass
-        worst = {k: 0.0 for k in routes}
-        for _ in range(args.draws):
-            w = WeightFunction(rng.uniform(1e-6, 1.0, g.num_edges))
-            zb = z_bruteforce(g, w)
-            for k, fn in routes.items():
-                worst[k] = max(worst[k], abs(fn(w) - zb) / abs(zb))
-        cols = "  ".join(f"{k}:{v:.2e}" for k, v in worst.items())
+        report = verify_fixture(name, seed=args.seed, draws=args.draws)
+        cols = "  ".join(f"{k}:{v:.2e}" for k, v in report.max_deviations.items())
         print(f"{name:16s} {cols}")
 
 

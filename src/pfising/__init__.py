@@ -27,6 +27,7 @@ from .embeddings import (
 from .minors import (
     MinorTransform,
     apply_minor,
+    build_host,
     complete_transform,
     compose_transforms,
     curve_preimage,
@@ -46,12 +47,7 @@ from .multicomplex import (
     CharacterMap,
     MulticomplexValue,
     all_characters,
-    apply_character,
     even_subalgebra_embed,
-    mc_add,
-    mc_mul,
-    mc_re,
-    mc_scale,
 )
 from .skewpf import (
     SkewMatrix,

@@ -10,24 +10,18 @@ import numpy as np
 
 from . import fixtures as fixture_zoo
 from .darts import build_dart_graph, enumerate_matchings
-from .embeddings import trace_faces
 from .fileio import format_graph, format_scheme, parse_graph, parse_scheme, parse_weight_spec
 from .graphs import GraphError, first_betti
-from .kasteleyn import obstruction_check, random_incidence_matrix, build_incidence_matrix, reduce_to_minor, weighted_matrix
-from .minors import compose_transforms, four_regularize, subdivide_to_cycle_faces
-from .embeddings import resolve_planar_scheme
+from .kasteleyn import obstruction_check, random_incidence_matrix
 from .partition import (
+    ROUTES,
     IsingModel,
     WeightFunction,
     ising_z,
+    resolve_method,
     z_bruteforce,
-    z_complex_sum,
-    z_multicomplex,
-    z_pfaffian_planar,
-    z_real_sum,
 )
-from .skewpf import pfaffian
-from .verify import DEFAULT_TOLERANCE, verify_fixture
+from .verify import DEFAULT_TOLERANCE, reduced_minor, verify_fixture, z_reduced
 
 USAGE_ERROR = 2
 
@@ -62,8 +56,8 @@ def cmd_compute(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    method = args.method
     try:
+        method = resolve_method(g, args.method, scheme)
         if args.couplings is not None:
             if args.beta is None:
                 print("error: --couplings needs --beta", file=sys.stderr)
@@ -74,26 +68,7 @@ def cmd_compute(args) -> int:
             quantity = "ising-z"
         else:
             weights = WeightFunction(parse_weight_spec(args.weights, g.num_edges))
-            table = {
-                "brute": lambda: z_bruteforce(g, weights),
-                "planar": lambda: z_pfaffian_planar(g, scheme, weights),
-                "multicomplex": lambda: z_multicomplex(g, scheme, weights),
-                "complex-sum": lambda: z_complex_sum(g, scheme, weights),
-                "real-sum": lambda: z_real_sum(g, scheme, weights),
-            }
-            if method == "auto":
-                if scheme is None:
-                    method = "brute"
-                else:
-                    chi = trace_faces(g, scheme).euler_characteristic
-                    method = "planar" if chi == 2 else "multicomplex"
-            if method not in table:
-                print(f"error: unknown method {method!r}", file=sys.stderr)
-                return USAGE_ERROR
-            if method != "brute" and scheme is None:
-                print(f"error: method {method!r} needs --scheme", file=sys.stderr)
-                return USAGE_ERROR
-            value = table[method]()
+            value = ROUTES[method](g, scheme, weights)
             quantity = "z"
     except (OSError, ValueError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -190,20 +165,11 @@ def cmd_dartgraph(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    host, minor, tm = fixture_zoo.minor_pair(args.pair)
-    host_fx = fixture_zoo.get_fixture("grid3x3")
-    scheme = resolve_planar_scheme(host, host_fx.scheme)
-    g1, s1, t1 = four_regularize(host, scheme)
-    g2, s2, t2 = subdivide_to_cycle_faces(g1, s1)
-    inc_host = reduce_to_minor(
-        build_incidence_matrix(g2, s2, "real"), compose_transforms(t2, t1), host
-    )
-    inc = reduce_to_minor(inc_host, tm, minor)
+    inc, tm = reduced_minor(args.pair)
     rng = np.random.default_rng(args.seed)
-    w = WeightFunction(rng.uniform(0.1, 1.0, minor.num_edges))
-    zb = z_bruteforce(minor, w)
-    aw = weighted_matrix(inc.skew, inc.dart_graph, inc.reference_matching, w.values)
-    z = float(np.prod(w.values)) * float(pfaffian(aw)) / inc.lam
+    w = WeightFunction(rng.uniform(0.1, 1.0, inc.graph.num_edges))
+    zb = z_bruteforce(inc.graph, w)
+    z = z_reduced(inc, w)
     rel = abs(z - zb) / abs(zb)
     tol = _tolerance(args)
     payload = {

@@ -9,6 +9,8 @@ Two graph rewrites feed the matrix pipeline:
 * :func:`subdivide_to_cycle_faces` repairs faces whose boundary walk repeats
   a vertex by ringing the face with subdivision vertices.
 
+:func:`build_host` runs both in that order.
+
 Every addition is recorded so the original graph is recovered by deleting
 the helper chords and contracting the helper segments; the bookkeeping is a
 :class:`MinorTransform`.
@@ -825,3 +827,11 @@ def subdivide_to_cycle_faces(
         b.add_chords({"f": editor}, chords)
     out, scheme, t = b.finalize()
     return out, scheme, t
+
+
+def build_host(g: Graph, s: EmbeddingScheme) -> tuple[Graph, EmbeddingScheme, MinorTransform]:
+    """The matrix pipeline's host: :func:`four_regularize` then
+    :func:`subdivide_to_cycle_faces`, with the composed transform back to g."""
+    g1, s1, t1 = four_regularize(g, s)
+    g2, s2, t2 = subdivide_to_cycle_faces(g1, s1)
+    return g2, s2, compose_transforms(t2, t1)

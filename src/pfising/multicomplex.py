@@ -119,22 +119,6 @@ class MulticomplexValue:
         return bool(np.allclose(self.coeffs, other.coeffs, atol=atol, rtol=0.0))
 
 
-def mc_add(x: MulticomplexValue, y: MulticomplexValue) -> MulticomplexValue:
-    return x + y
-
-
-def mc_mul(x: MulticomplexValue, y: MulticomplexValue) -> MulticomplexValue:
-    return x * y
-
-
-def mc_scale(x: MulticomplexValue, factor: float) -> MulticomplexValue:
-    return x.scale(factor)
-
-
-def mc_re(x: MulticomplexValue) -> float:
-    return x.real
-
-
 @dataclass(frozen=True)
 class CharacterMap:
     """Ring homomorphism C_n -> C sending i_k to signs[k-1] * i."""
@@ -174,12 +158,32 @@ def _character_vector(signs: tuple[int, ...]) -> np.ndarray:
 
 
 def all_characters(n: int) -> list[CharacterMap]:
-    """The 2**n distinct characters of C_n."""
+    """The 2**n distinct characters of C_n.
+
+    The first half sends i_1 -> +i.  The character -h of the one at index j
+    sits at index 2**n - 1 - j, and on real coefficients H_{-h} = conj(H_h).
+    """
     return [CharacterMap(signs) for signs in product((1, -1), repeat=n)]
 
 
-def apply_character(h: CharacterMap, x: MulticomplexValue) -> complex:
-    return h.apply(x)
+@lru_cache(maxsize=None)
+def half_character_table(n: int) -> np.ndarray:
+    """(2**n, 2**(n-1)) table whose column j is ``all_characters(n)[j].vector()``.
+
+    The columns are the characters sending i_1 -> +i; ``coeffs @ table``
+    gives their images of one element, ``data @ table`` of a whole matrix.
+    """
+    return np.stack([h.vector() for h in all_characters(n)[: 1 << (n - 1)]], axis=1)
+
+
+@lru_cache(maxsize=None)
+def _inverse_character_table(n: int) -> np.ndarray:
+    """Row S: (-i)**|S| * prod_{k in S} h_k / 2**n over the characters h."""
+    signs = np.array([h.signs for h in all_characters(n)]).reshape(1 << n, n)
+    subsets = np.arange(1 << n)
+    in_subset = (subsets[:, None] >> np.arange(n)) & 1
+    table = np.prod(np.where(in_subset[:, None, :], signs[None, :, :], 1), axis=2)
+    return table * ((-1j) ** _bit_count(subsets))[:, None] / (1 << n)
 
 
 def value_from_character_images(images, n: int, imag_tol: float = 1e-8) -> MulticomplexValue:
@@ -189,23 +193,14 @@ def value_from_character_images(images, n: int, imag_tol: float = 1e-8) -> Multi
     separate basis monomials:  sum_h (prod_{k in S} h_k) H(mu_T) equals
     2**n * i**|S| only when T == S.
     """
-    chars = all_characters(n)
     vals = np.asarray(list(images), dtype=np.complex128)
     if vals.shape != (1 << n,):
         raise ValueError("expected one image per character")
-    size = 1 << n
-    coeffs = np.zeros(size)
+    coeffs = _inverse_character_table(n) @ vals
     scale_ref = max(1.0, float(np.max(np.abs(vals))))
-    for subset in range(size):
-        weights = np.array(
-            [np.prod([h.signs[k] for k in range(n) if subset >> k & 1]) for h in chars]
-        )
-        total = (weights @ vals) / size
-        total *= (-1j) ** int(subset).bit_count()
-        if abs(total.imag) > imag_tol * scale_ref:
-            raise ValueError("character images inconsistent with a C_n element")
-        coeffs[subset] = total.real
-    return MulticomplexValue(n, coeffs)
+    if np.any(np.abs(coeffs.imag) > imag_tol * scale_ref):
+        raise ValueError("character images inconsistent with a C_n element")
+    return MulticomplexValue(n, coeffs.real)
 
 
 @dataclass(frozen=True)

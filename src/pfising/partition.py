@@ -12,6 +12,12 @@ their link entries zeroed) and divide out the calibrated constant:
 * real sum:      Z = sum_j H_j(lam)/2**(n-1) * Pf(H_j(A)(w))  (2**(n-1) real
                  terms, available when every entry lies in the even
                  subalgebra, e.g. schemes derived from orientable embeddings)
+
+The three nonplanar routes are one computation: the character images come
+from :func:`~pfising.skewpf.character_pfaffians`, which eliminates the
+2**(n-1) characters with i_1 -> +i (the others are complex conjugates).  On
+even-subalgebra matrices those images are real, which is the real sum.
+:data:`ROUTES` and :func:`resolve_method` are the one method table.
 """
 from __future__ import annotations
 
@@ -28,19 +34,9 @@ from .kasteleyn import (
     weighted_matrix,
     zero_link_entries,
 )
-from .minors import (
-    compose_transforms,
-    curve_preimage,
-    four_regularize,
-    subdivide_to_cycle_faces,
-    transported_weights,
-)
-from .multicomplex import (
-    all_characters,
-    even_subalgebra_embed,
-    mc_re,
-)
-from .skewpf import COMPLEX, MULTICOMPLEX, REAL, SkewMatrix, pfaffian
+from .minors import build_host, curve_preimage, transported_weights
+from .multicomplex import half_character_table
+from .skewpf import MULTICOMPLEX, REAL, SkewMatrix, character_pfaffians, pfaffian
 
 ISING_BRUTEFORCE_MAX_VERTICES = 20
 
@@ -108,12 +104,8 @@ class PlanarPfaffianSolver:
 
     def __init__(self, g: Graph, scheme: EmbeddingScheme):
         self.graph = g
-        canonical = resolve_planar_scheme(g, scheme)
-        g1, s1, t1 = four_regularize(g, canonical)
-        g2, s2, t2 = subdivide_to_cycle_faces(g1, s1)
-        self.host = g2
-        self.transform = compose_transforms(t2, t1)
-        self.inc = build_incidence_matrix(g2, s2, REAL)
+        self.host, s2, self.transform = build_host(g, resolve_planar_scheme(g, scheme))
+        self.inc = build_incidence_matrix(self.host, s2, REAL)
         self.zeroed = zero_link_entries(
             self.inc.skew, self.inc.dart_graph, self.transform.deleted
         )
@@ -135,11 +127,9 @@ class NonplanarSolver:
             raise SchemeError("nonplanar route needs a crosscap-annotated scheme")
         self.graph = g
         self.n_generators = scheme.n_crosscaps
-        g1, s1, t1 = four_regularize(g, scheme)
-        g2, s2, t2 = subdivide_to_cycle_faces(g1, s1)
+        g2, s2, self.transform = build_host(g, scheme)
         self.host = g2
         self.host_scheme = s2
-        self.transform = compose_transforms(t2, t1)
         curves = enumerate_closed_curves(g)
         if self.transform.is_identity:
             surviving = curves
@@ -156,6 +146,7 @@ class NonplanarSolver:
         self.zeroed = zero_link_entries(
             self.inc.skew, self.inc.dart_graph, self.transform.deleted
         )
+        self._lam_images = self.inc.lam.coeffs @ half_character_table(self.n_generators)
 
     @property
     def class_table(self) -> dict:
@@ -168,54 +159,24 @@ class NonplanarSolver:
         )
 
     def evaluate_multicomplex(self, w: WeightFunction) -> float:
-        return mc_re(self.inc.lam * pfaffian(self._weighted(w)))
+        return (self.inc.lam * pfaffian(self._weighted(w))).real
 
     def evaluate_complex_sum(self, w: WeightFunction) -> float:
-        aw = self._weighted(w)
-        n = self.n_generators
-        total = 0.0 + 0.0j
-        for h in all_characters(n):
-            lam_j = h.apply(self.inc.lam) / (1 << n)
-            img = aw.character_image(h)
-            total += lam_j * pfaffian(img)
-        return float(total.real)
+        return self._character_sum(w)
 
     def evaluate_real_sum(self, w: WeightFunction) -> float:
-        n = self.n_generators
         masks = self.inc.edge.masks
         if any(int(m).bit_count() % 2 for m in masks):
             raise SchemeError(
                 "scheme not orientable-derived; use complex sum"
             )
-        lam_even = even_subalgebra_embed(self.inc.lam, tol=1e-12)
-        aw = self._weighted(w)
-        n_even = n - 1
-        total = 0.0
-        for bits in range(1 << n_even):
-            signs = tuple(1 if bits >> j & 1 == 0 else -1 for j in range(n_even))
-            data = _even_real_image(aw, signs)
-            lam_j = lam_even.real_character(signs) / (1 << n_even)
-            total += lam_j * float(pfaffian(SkewMatrix(REAL, data)))
-        return total
+        return self._character_sum(w)
 
-
-def _even_real_image(a: SkewMatrix, signs: tuple[int, ...]) -> np.ndarray:
-    """Real image of an even-subalgebra matrix under e_j -> signs[j-1]."""
-    from .multicomplex import _even_monomial_to_e
-
-    n_gen = a.n_generators
-    out = np.zeros(a.data.shape[:2])
-    for mask in range(1 << n_gen):
-        layer = a.data[:, :, mask]
-        if not np.any(layer):
-            continue
-        e_subset, sign = _even_monomial_to_e(mask, n_gen)
-        factor = sign
-        for j in range(n_gen - 1):
-            if e_subset >> j & 1:
-                factor *= signs[j]
-        out += factor * layer
-    return out
+    def _character_sum(self, w: WeightFunction) -> float:
+        """Re sum_h H_h(lam) Pf(H_h(A(w))) / 2**(n-1) over the characters with
+        i_1 -> +i; the conjugate half doubles the real part of the 2**n sum."""
+        terms = self._lam_images * character_pfaffians(self._weighted(w))
+        return float(np.sum(terms).real) / (1 << (self.n_generators - 1))
 
 
 def z_pfaffian_planar(g: Graph, s: EmbeddingScheme, w: WeightFunction) -> float:
@@ -229,7 +190,8 @@ def z_multicomplex(g: Graph, s: EmbeddingScheme, w: WeightFunction) -> float:
 
 
 def z_complex_sum(g: Graph, s: EmbeddingScheme, w: WeightFunction) -> float:
-    """Expansion into 2**n complex Pfaffians via the characters of C_n."""
+    """Expansion into 2**n complex Pfaffians via the characters of C_n
+    (2**(n-1) conjugate pairs, one elimination per pair)."""
     return NonplanarSolver(g, s).evaluate_complex_sum(w)
 
 
@@ -254,30 +216,39 @@ def ising_prefactor(m: IsingModel) -> float:
     return float(2.0 ** m.graph.num_vertices * np.prod(np.cosh(m.beta * m.couplings)))
 
 
+ROUTES = {
+    "brute": lambda g, s, w: z_bruteforce(g, w),
+    "planar": z_pfaffian_planar,
+    "multicomplex": z_multicomplex,
+    "complex-sum": z_complex_sum,
+    "real-sum": z_real_sum,
+}
+
+
+def resolve_method(g: Graph, method: str, scheme: EmbeddingScheme | None) -> str:
+    """The key of :data:`ROUTES` that ``method`` names on (g, scheme).
+
+    "auto" picks brute force without a scheme, the planar route on a sphere
+    (Euler characteristic 2) and the multicomplex route otherwise.
+    """
+    if method == "auto":
+        if scheme is None:
+            return "brute"
+        chi = trace_faces(g, scheme).euler_characteristic
+        return "planar" if chi == 2 else "multicomplex"
+    if method not in ROUTES:
+        raise ValueError(f"unknown method {method!r}")
+    if method != "brute" and scheme is None:
+        raise ValueError(f"method {method!r} needs an embedding scheme")
+    return method
+
+
 def ising_z(m: IsingModel, method: str = "auto",
             scheme: EmbeddingScheme | None = None) -> float:
     """Ising partition function through the closed-curve correspondence."""
     w = ising_weights(m)
-    pref = ising_prefactor(m)
-    if method == "auto":
-        if scheme is None:
-            method = "brute"
-        else:
-            report = trace_faces(m.graph, scheme)
-            method = "planar" if report.euler_characteristic == 2 else "multicomplex"
-    if method == "brute":
-        return pref * z_bruteforce(m.graph, w)
-    if scheme is None:
-        raise ValueError(f"method {method!r} needs an embedding scheme")
-    table = {
-        "planar": z_pfaffian_planar,
-        "multicomplex": z_multicomplex,
-        "complex-sum": z_complex_sum,
-        "real-sum": z_real_sum,
-    }
-    if method not in table:
-        raise ValueError(f"unknown method {method!r}")
-    return pref * table[method](m.graph, scheme, w)
+    route = ROUTES[resolve_method(m.graph, method, scheme)]
+    return ising_prefactor(m) * route(m.graph, scheme, w)
 
 
 def ising_bruteforce(m: IsingModel) -> float:

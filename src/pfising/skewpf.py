@@ -6,7 +6,9 @@ pivoting for the field cases.  Multicomplex matrices are handled through the
 is a polynomial in the entries, so the Pfaffian of the image is the image of
 the Pfaffian and the coefficients are recovered by the inverse transform.
 (Direct elimination inside C_n would be unsafe: the algebra has zero
-divisors.)
+divisors.)  The coefficients are real, so characters h and -h give complex
+conjugate images and :func:`character_pfaffians` eliminates only the 2**(n-1)
+characters sending i_1 -> +i; every multicomplex route is derived from it.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import numpy as np
 from .multicomplex import (
     MulticomplexValue,
     all_characters,
+    half_character_table,
     value_from_character_images,
 )
 
@@ -109,7 +112,9 @@ def _pfaffian_field(mat: np.ndarray) -> complex:
 
     Repeatedly pivots the largest entry of the working column into position
     (k, k+1), multiplies it into the result and applies the rank-2 Schur
-    update  A <- A - (u v^T - v u^T)/a  on the trailing block.
+    update  A <- A - (u v^T - v u^T)/a  on the trailing block.  A pivot
+    column that is exactly zero makes the Pfaffian exactly zero; a merely
+    small pivot is still the largest available and is eliminated.
     """
     a = np.array(mat, copy=True)
     n = a.shape[0]
@@ -117,13 +122,12 @@ def _pfaffian_field(mat: np.ndarray) -> complex:
         raise ValueError("Pfaffian needs even order")
     if n == 0:
         return 1.0
-    scale = max(1.0, float(np.max(np.abs(a))))
     pf = 1.0 + 0.0j if np.iscomplexobj(a) else 1.0
     sign = 1.0
     for k in range(0, n - 2, 2):
         col = np.abs(a[k + 1:, k])
         p = k + 1 + int(np.argmax(col))
-        if abs(a[p, k]) <= PIVOT_RTOL * scale:
+        if a[p, k] == 0:
             return 0.0 * pf
         if p != k + 1:
             a[[k + 1, p], :] = a[[p, k + 1], :]
@@ -146,8 +150,26 @@ def pfaffian(a: SkewMatrix):
         return float(np.real(_pfaffian_field(a.data)))
     if a.ring == COMPLEX:
         return complex(_pfaffian_field(a.data))
-    images = [_pfaffian_field(a.character_image(h).data) for h in all_characters(a.n_generators)]
-    return value_from_character_images(images, a.n_generators)
+    if a.n_generators == 0:
+        return MulticomplexValue(0, [_pfaffian_field(a.data[:, :, 0])])
+    half = character_pfaffians(a)
+    return value_from_character_images(
+        np.concatenate([half, np.conj(half[::-1])]), a.n_generators
+    )
+
+
+def character_pfaffians(a: SkewMatrix) -> np.ndarray:
+    """Pf(H_h(a)) for the 2**(n-1) characters h of C_n sending i_1 -> +i.
+
+    Ordered as the first half of ``all_characters(n)``; the character at
+    index 2**n - 1 - j gives the complex conjugate of entry j.  When every
+    entry lies in the even subalgebra the images are real (odd monomials
+    carry no data) and so are the eliminations.
+    """
+    images = np.moveaxis(a.data @ half_character_table(a.n_generators), 2, 0)
+    if not images.imag.any():
+        images = images.real
+    return np.array([_pfaffian_field(m) for m in images])
 
 
 def matching_sign(pairs, indices) -> int:

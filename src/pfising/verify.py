@@ -11,13 +11,14 @@ from . import fixtures as fixture_zoo
 from .darts import build_dart_graph
 from .embeddings import resolve_planar_scheme
 from .kasteleyn import (
+    IncidenceMatrix,
     build_incidence_matrix,
     obstruction_check,
     random_incidence_matrix,
     reduce_to_minor,
     weighted_matrix,
 )
-from .minors import compose_transforms, four_regularize, subdivide_to_cycle_faces
+from .minors import MinorTransform, build_host
 from .partition import (
     NonplanarSolver,
     PlanarPfaffianSolver,
@@ -182,22 +183,34 @@ def _verify_nonplanar(fixture, report, rng, draws):
         report.fa_spread = spread_per_class / max(abs(v) for v in table.values())
 
 
+def reduced_minor(pair: str) -> tuple[IncidenceMatrix, MinorTransform]:
+    """Incidence matrix of a shipped minor pair, reduced from the 3x3 grid.
+
+    The grid's host matrix is reduced to the grid, then through the pair's
+    transform to the minor.  Returns the minor's matrix and that transform.
+    """
+    host, minor, tm = fixture_zoo.minor_pair(pair)
+    scheme = resolve_planar_scheme(host, fixture_zoo.get_fixture("grid3x3").scheme)
+    big, big_scheme, t = build_host(host, scheme)
+    inc_host = reduce_to_minor(build_incidence_matrix(big, big_scheme, "real"), t, host)
+    return reduce_to_minor(inc_host, tm, minor), tm
+
+
+def z_reduced(inc: IncidenceMatrix, w: WeightFunction) -> float:
+    """Z from a reduced matrix; its all-links reference matching divides every
+    link entry by its weight, which the weight product restores."""
+    aw = weighted_matrix(inc.skew, inc.dart_graph, inc.reference_matching, w.values)
+    return float(np.prod(w.values)) * float(pfaffian(aw)) / inc.lam
+
+
 def _verify_reduced(name, report, rng, draws):
-    host_fx = fixture_zoo.get_fixture("grid3x3")
-    host, minor, tm = fixture_zoo.minor_pair(name)
-    scheme = resolve_planar_scheme(host, host_fx.scheme)
-    g1, s1, t1 = four_regularize(host, scheme)
-    g2, s2, t2 = subdivide_to_cycle_faces(g1, s1)
-    t = compose_transforms(t2, t1)
-    inc_big = build_incidence_matrix(g2, s2, "real")
-    inc_host = reduce_to_minor(inc_big, t, host)
-    inc = reduce_to_minor(inc_host, tm, minor)
+    inc, _tm = reduced_minor(name)
+    minor = inc.graph
     worst = 0.0
     for _ in range(draws):
         w = WeightFunction(rng.uniform(1e-9, 1.0, minor.num_edges))
         zb = z_bruteforce(minor, w)
-        aw = weighted_matrix(inc.skew, inc.dart_graph, inc.reference_matching, w.values)
-        z = float(np.prod(w.values)) * float(pfaffian(aw)) / inc.lam
+        z = z_reduced(inc, w)
         worst = max(worst, abs(z - zb) / abs(zb))
         report.z_values = {"brute": zb, "reduced-pfaffian": z}
     report.max_deviations["reduced-pfaffian vs brute"] = worst

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pfising import skewpf
 from pfising.embeddings import SchemeError
 from pfising.fixtures import get_fixture
 from pfising.graphs import Graph, GraphError
@@ -20,6 +21,13 @@ from pfising.partition import (
 )
 
 PLANAR = ["k3", "c4", "k4", "grid2x2", "grid3x3", "hex-patch", "tri-patch"]
+
+# Weights on which an elimination meets a pivot below 1e-12 of the largest
+# entry; it must be eliminated, not taken for a zero Pfaffian.
+HARD_WEIGHTS = {
+    "grid3x3": [np.full(12, 1e5)],
+    "k33-projective": [np.exp([-8.5, 11.4, 13.0, 5.8, 10.3, -6.3, 4.6, 11.8, -12.6])],
+}
 
 
 def test_weight_function_validation():
@@ -54,8 +62,9 @@ def test_planar_route_matches_bruteforce(name):
     fx = get_fixture(name)
     solver = PlanarPfaffianSolver(fx.graph, fx.scheme)
     rng = np.random.default_rng(hash(name) % 2 ** 31)
-    for _ in range(20):
-        w = WeightFunction(rng.uniform(1e-9, 1.0, fx.graph.num_edges))
+    draws = [rng.uniform(1e-9, 1.0, fx.graph.num_edges) for _ in range(20)]
+    for values in draws + HARD_WEIGHTS.get(name, []):
+        w = WeightFunction(values)
         zb = z_bruteforce(fx.graph, w)
         assert abs(solver.evaluate(w) - zb) / abs(zb) <= 1e-9
 
@@ -77,8 +86,9 @@ def test_projective_fixtures_all_routes(name):
     fx = get_fixture(name)
     solver = NonplanarSolver(fx.graph, fx.scheme)
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        w = WeightFunction(rng.uniform(1e-9, 1.0, fx.graph.num_edges))
+    draws = [rng.uniform(1e-9, 1.0, fx.graph.num_edges) for _ in range(10)]
+    for values in draws + HARD_WEIGHTS.get(name, []):
+        w = WeightFunction(values)
         zb = z_bruteforce(fx.graph, w)
         zm = solver.evaluate_multicomplex(w)
         zc = solver.evaluate_complex_sum(w)
@@ -105,6 +115,25 @@ def test_torus_even_scheme_all_routes():
         assert abs(solver.evaluate_multicomplex(w) - zb) / zb <= 1e-9
         assert abs(solver.evaluate_complex_sum(w) - zb) / zb <= 1e-9
         assert abs(solver.evaluate_real_sum(w) - zb) / zb <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["k5-projective", "torus-grid3x3"])
+def test_nonplanar_routes_eliminate_one_matrix_per_conjugate_pair(name, monkeypatch):
+    fx = get_fixture(name)
+    scheme = (fx.alt_schemes or {}).get("even-crosscaps", fx.scheme)
+    solver = NonplanarSolver(fx.graph, scheme)
+    w = WeightFunction.uniform(0.5, fx.graph.num_edges)
+    routes = [lambda w: skewpf.pfaffian(solver._weighted(w)),
+              solver.evaluate_multicomplex, solver.evaluate_complex_sum]
+    if name == "torus-grid3x3":
+        routes.append(solver.evaluate_real_sum)
+    calls = []
+    eliminate = skewpf._pfaffian_field
+    monkeypatch.setattr(skewpf, "_pfaffian_field", lambda m: calls.append(m) or eliminate(m))
+    for route in routes:
+        calls.clear()
+        route(w)
+        assert len(calls) == 2 ** (scheme.n_crosscaps - 1)
 
 
 def test_real_sum_rejected_on_odd_entries():
