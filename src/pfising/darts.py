@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .graphs import CurveMask, Graph, GraphError
 from .multicomplex import MulticomplexValue
-from .skewpf import MULTICOMPLEX, SkewMatrix, matching_sign
+from .skewpf import MULTICOMPLEX, SkewMatrix, matching_sign, pfaffian, submatrix
 
 MATCHING_ENUM_MAX_DARTS = 24
 
@@ -171,62 +171,37 @@ def _forced_link_pairs(d: DartGraph, m0: PerfectMatching, curve: CurveMask):
     return forced
 
 
-def _local_matchings(ids):
-    """All perfect matchings of a small index list (complete graph)."""
-    ids = list(ids)
-    if not ids:
-        return [[]]
-    if len(ids) % 2:
-        return []
-    first = ids[0]
-    out = []
-    for k in range(1, len(ids)):
-        rest = ids[1:k] + ids[k + 1:]
-        for sub in _local_matchings(rest):
-            out.append([(first, ids[k])] + sub)
-    return out
-
-
 def f_weight(a: SkewMatrix, d: DartGraph, m0: PerfectMatching, curve: CurveMask):
     """Signed sum of entry products over the matchings mapped to ``curve``.
 
-    Every preimage matching decomposes into the forced link pairs plus one
-    vertex-internal matching per vertex, so the enumeration factorizes and no
-    global matching search is needed.  The sign of each matching is the
-    parity of its canonical pair ordering against the full dart order.
+    Every preimage matching is the forced link pairs plus one perfect
+    matching of each vertex's free darts, so the sum factorizes:
+    F = sign(reference) * prod(forced link entries) * prod_v Pf(A[free_v]),
+    where the reference matching pairs each vertex's free darts in index
+    order.  Re-pairing the darts of one vertex multiplies the sign by the
+    sign of that local matching, which is what Pf(A[free_v]) sums over.
     """
     if a.order != d.num_darts:
         raise GraphError("matrix order does not match the dart count")
     _check_zero_pattern(a, d)
     forced = _forced_link_pairs(d, m0, curve)
-    covered = set()
-    for p in forced:
-        covered.update(p)
-    per_vertex = []
+    covered = {i for pair in forced for i in pair}
+    free_sets = []
     for v in range(d.graph.num_vertices):
         free = [i for i in d.vertex_dart_ids(v) if i not in covered]
-        local = _local_matchings(free)
-        if not local:
-            return _ring_zero(a)
-        per_vertex.append(local)
-    total = _ring_zero(a)
-    indices = range(d.num_darts)
-    for combo in product(*per_vertex):
-        pairs = list(forced)
-        for block in combo:
-            pairs.extend(block)
-        sign = matching_sign(pairs, indices)
-        term = _ring_one(a) * sign
-        for i, j in pairs:
-            term = term * a.entry(i, j)
-        total = total + term
-    return total
-
-
-def _ring_zero(a: SkewMatrix):
-    if a.ring == MULTICOMPLEX:
-        return MulticomplexValue.zero(a.n_generators)
-    return 0.0 if a.ring == "real" else 0.0 + 0.0j
+        if len(free) % 2:
+            return _ring_one(a) * 0.0
+        free_sets.append(free)
+    reference = forced + [
+        (free[k], free[k + 1]) for free in free_sets for k in range(0, len(free), 2)
+    ]
+    value = _ring_one(a) * matching_sign(reference, range(d.num_darts))
+    for i, j in forced:
+        value = value * a.entry(i, j)
+    for free in free_sets:
+        if free:
+            value = value * pfaffian(submatrix(a, free))
+    return value
 
 
 def _ring_one(a: SkewMatrix):
@@ -236,16 +211,13 @@ def _ring_one(a: SkewMatrix):
 
 
 def _check_zero_pattern(a: SkewMatrix, d: DartGraph):
-    allowed = set()
-    for i, j in d.site_edges + d.link_edges:
-        allowed.add((i, j))
-        allowed.add((j, i))
     n = a.order
+    allowed = np.zeros((n, n), dtype=bool)
+    pairs = np.array(d.site_edges + d.link_edges, dtype=np.intp).reshape(-1, 2)
+    allowed[pairs[:, 0], pairs[:, 1]] = True
+    size = np.abs(a.data).reshape(n, n, -1).max(axis=2)
     scale = max(1.0, a.scale_abs())
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) in allowed:
-                continue
-            entry = a.data[i, j]
-            if np.max(np.abs(entry)) > 1e-12 * scale:
-                raise GraphError(f"nonzero entry outside the dart-graph pattern at {(i, j)}")
+    bad = np.argwhere(np.triu(~allowed & (size > 1e-12 * scale), 1))
+    if bad.size:
+        i, j = map(int, bad[0])
+        raise GraphError(f"nonzero entry outside the dart-graph pattern at {(i, j)}")

@@ -78,12 +78,10 @@ def gf2_solve(matrix, rhs) -> np.ndarray | None:
 
 def masks_to_matrix(masks, width: int) -> np.ndarray:
     """Stack edge-set bitmasks into a GF(2) matrix, one row per mask."""
-    out = np.zeros((len(masks), width), dtype=np.uint8)
-    for i, mask in enumerate(masks):
-        for j in range(width):
-            if mask >> j & 1:
-                out[i, j] = 1
-    return out
+    nbytes = (width + 7) // 8
+    raw = b"".join(int(m).to_bytes(nbytes, "little") for m in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 
 def mask_rank(masks, width: int) -> int:

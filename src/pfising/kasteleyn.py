@@ -21,13 +21,15 @@ import numpy as np
 
 from .darts import DartGraph, PerfectMatching, build_dart_graph, canonical_matching, even_degree_matching, f_weight
 from .embeddings import EmbeddingScheme, SchemeError, trace_faces, face_boundary_basis
-from .gf2 import gf2_solve
+from .gf2 import gf2_solve, masks_to_matrix
 from .graphs import CurveMask, CycleBasis, Graph, GraphError, cycle_sequence, enumerate_closed_curves
 from .multicomplex import MulticomplexValue
-from .skewpf import COMPLEX, MULTICOMPLEX, REAL, SkewMatrix, pfaffian, submatrix, derived_matrix
+from .skewpf import COMPLEX, MULTICOMPLEX, REAL, SkewMatrix, derived_matrix, permutation_sign, pfaffian, submatrix
 
 EDGE_EQ_TOL = 1e-9
 CALIBRATION_TOL = 1e-7
+CALIBRATION_SEED = 718281828
+CURVE_BLOCK = 4096  # curves per block of the calibration's curve-by-edge matrix
 
 # upper-triangular slots of a 4x4 site block, in (s, sbar, t, tbar, u, ubar) order
 _SITE_SLOTS = {(0, 1): 0, (2, 3): 1, (0, 2): 2, (1, 3): 3, (0, 3): 4, (1, 2): 5}
@@ -63,11 +65,7 @@ def _even_permutation(enter_pos: int, exit_pos: int) -> tuple[int, ...]:
     """The unique even permutation sigma of (0,1,2,3) with sigma[0]=enter, sigma[3]=exit."""
     mid = [p for p in range(4) if p not in (enter_pos, exit_pos)]
     sigma = (enter_pos, mid[0], mid[1], exit_pos)
-    seq = list(sigma)
-    inversions = sum(
-        1 for i in range(4) for j in range(i + 1, 4) if seq[i] > seq[j]
-    )
-    if inversions % 2:
+    if permutation_sign(sigma) < 0:
         sigma = (enter_pos, mid[1], mid[0], exit_pos)
     return sigma
 
@@ -450,13 +448,12 @@ def build_incidence_matrix(
     ring: str = REAL,
     surviving_curves: list[CurveMask] | None = None,
     deleted_edges=(),
-    rng: np.random.Generator | None = None,
 ) -> IncidenceMatrix:
     """Run the three solvers over the face-boundary family and assemble.
 
     For the multicomplex ring, each edge entry carries prod i_k over its
-    crosscap list; the constant lam and the class table are calibrated from
-    weighted Pfaffians of the assembled matrix (restricted to
+    crosscap list; the class table is read from the curve functional and
+    checked against weighted Pfaffians of the assembled matrix (restricted to
     ``surviving_curves`` when the matrix will be used with link deletions).
     """
     if not g.is_regular(4):
@@ -491,7 +488,7 @@ def build_incidence_matrix(
         n_generators=n_gen if ring == MULTICOMPLEX else 0,
     )
     if ring == MULTICOMPLEX and n_gen > 0:
-        _calibrate_multicomplex(inc, scheme, surviving_curves, deleted_edges, rng)
+        _calibrate_multicomplex(inc, scheme, surviving_curves, deleted_edges)
     elif ring == REAL or all(m == 0 for m in edge.masks):
         inc.class_values = {0: (f0, 0)}
         inc.lam = f0 if ring == REAL else complex(f0)
@@ -542,56 +539,48 @@ def zero_site_entries_at(a: SkewMatrix, d: DartGraph, edges) -> SkewMatrix:
     return SkewMatrix(a.ring, data, a.n_generators)
 
 
-def _calibrate_multicomplex(inc, scheme, surviving_curves, deleted_edges, rng):
-    """Measure the per-class functional values and build the constant lam.
+def _curve_blocks(curves, width):
+    """(offset, curve-by-edge 0/1 matrix) over blocks of CURVE_BLOCK curves."""
+    for start in range(0, len(curves), CURVE_BLOCK):
+        yield start, masks_to_matrix(curves[start:start + CURVE_BLOCK], width).astype(np.float64)
 
-    Writes Pf(A(w)) = sum_C w(C) F(C) for a batch of random weight draws and
-    solves the linear system for the class values F (one unknown multicomplex
-    value per crossing-parity class).  When the matrix will be used with
-    deleted edges, the deletion-zeroed matrix is measured so the Pfaffian
-    sums over exactly the surviving curves.  Each class value must be a
-    single monomial matching its class; signs are then normalized toward
-    F = f0 * mu(class) by global sign flips of the i_k-odd entries, and lam
-    is assembled so that Re(lam * F) = 1 on every class.
+
+def _calibrate_multicomplex(inc, scheme, surviving_curves, deleted_edges):
+    """Read the per-class functional values and build the constant lam.
+
+    Each class value is the curve functional F at the first surviving curve
+    of that class, and must be the single monomial its class predicts.  The
+    table is then checked exactly: for a batch of random weight draws every
+    coefficient of Pf(A(w)) must equal sum_cls F_cls * W_cls(w), where
+    W_cls(w) sums w(C) over the surviving curves C of the class.  When the
+    matrix will be used with deleted edges, the deletion-zeroed matrix is
+    measured so the Pfaffian sums over exactly the surviving curves.  Signs
+    are then normalized toward F = f0 * mu(class) by global sign flips of the
+    i_k-odd entries, and lam is assembled so that Re(lam * F) = 1 on every
+    class.
     """
     g = inc.graph
     d = inc.dart_graph
     n_gen = inc.n_generators
-    if rng is None:
-        rng = np.random.default_rng(718281828)
     if surviving_curves is None:
         surviving_curves = enumerate_closed_curves(g)
     measured = (
         zero_link_entries(inc.skew, d, deleted_edges) if deleted_edges else inc.skew
     )
-    classes: dict[int, list[CurveMask]] = {}
-    for c in surviving_curves:
-        classes.setdefault(scheme.curve_class(c), []).append(c)
-    class_masks = sorted(classes)
-    n_cls = len(class_masks)
-    n_draws = 2 * n_cls + 4
-    rows = np.zeros((n_draws, n_cls))
-    pf_coeffs = np.zeros((n_draws, 1 << n_gen))
-    for t in range(n_draws):
-        w = rng.uniform(0.4, 1.6, size=g.num_edges)
-        for ci, cm in enumerate(class_masks):
-            rows[t, ci] = sum(
-                float(np.prod([w[e] for e in g.curve_edges(c)])) for c in classes[cm]
-            )
-        aw = weighted_matrix(measured, d, inc.reference_matching, w)
-        pf_coeffs[t] = pfaffian(aw).coeffs
-    sol, residual, rank, _sv = np.linalg.lstsq(rows, pf_coeffs, rcond=None)
-    if rank < n_cls:
-        raise SolveError("class calibration system is rank deficient")
-    fit = rows @ sol
-    scale = max(1.0, float(np.max(np.abs(pf_coeffs))))
-    if np.max(np.abs(fit - pf_coeffs)) > CALIBRATION_TOL * scale:
-        raise SolveError(
-            "scheme/matrix invalid: functional is not constant per class"
-        )
+    crossing = masks_to_matrix(
+        [scheme.crosscap_parity_mask(e) for e in range(g.num_edges)], n_gen
+    )
+    place = 1 << np.arange(n_gen)
+    classes = np.concatenate([
+        (x @ crossing % 2 @ place).astype(np.uint8)  # n_gen <= MAX_GENERATORS = 8
+        for _start, x in _curve_blocks(surviving_curves, g.num_edges)
+    ])
+    class_masks = np.flatnonzero(np.bincount(classes, minlength=1 << n_gen)).tolist()
+    f_table = np.zeros((1 << n_gen, 1 << n_gen))  # row cm: F on class cm
     class_values: dict[int, float] = {}
-    for ci, cm in enumerate(class_masks):
-        vec = sol[ci]
+    for cm in class_masks:
+        first = surviving_curves[int(np.argmax(classes == cm))]
+        vec = f_weight(measured, d, inc.reference_matching, first).coeffs
         coeff = vec[cm]
         off = np.max(np.abs(np.delete(vec, cm))) if vec.size > 1 else 0.0
         if abs(coeff) < 1e-9 or off > CALIBRATION_TOL * max(1.0, abs(coeff)):
@@ -599,6 +588,22 @@ def _calibrate_multicomplex(inc, scheme, surviving_curves, deleted_edges, rng):
                 "scheme/matrix invalid: class value is not the expected monomial"
             )
         class_values[cm] = float(coeff)
+        f_table[cm] = vec
+    rng = np.random.default_rng(CALIBRATION_SEED)
+    draws = rng.uniform(0.4, 1.6, size=(2 * len(class_masks) + 4, g.num_edges))
+    log_draws = np.log(draws).T
+    weight_sums = np.zeros((1 << n_gen, len(draws)))
+    for start, x in _curve_blocks(surviving_curves, g.num_edges):
+        np.add.at(weight_sums, classes[start:start + len(x)], np.exp(x @ log_draws))
+    pf_coeffs = np.array([
+        pfaffian(weighted_matrix(measured, d, inc.reference_matching, w)).coeffs
+        for w in draws
+    ])
+    scale = max(1.0, float(np.max(np.abs(pf_coeffs))))
+    if np.max(np.abs(weight_sums.T @ f_table - pf_coeffs)) > CALIBRATION_TOL * scale:
+        raise SolveError(
+            "scheme/matrix invalid: functional is not constant per class"
+        )
     _normalize_class_signs(inc, class_values, class_masks)
     lam = MulticomplexValue.zero(n_gen)
     for cm, coeff in class_values.items():
@@ -694,7 +699,7 @@ def reduce_to_minor(
         target.append(d1.dart_index[dart1])
     perm = np.argsort(np.array(target))
     data = reduced.data[perm][:, perm] if reduced.data.ndim == 2 else reduced.data[perm][:, perm, :]
-    sign = _permutation_sign(list(perm))
+    sign = permutation_sign(perm)
     skew1 = SkewMatrix(inc.skew.ring, data, inc.skew.n_generators)
     m1 = canonical_matching(d1)
     out = IncidenceMatrix(
@@ -717,15 +722,6 @@ def reduce_to_minor(
     else:
         calibrate_from_curves(out)
     return out
-
-
-def _permutation_sign(perm: list[int]) -> int:
-    inversions = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
 
 
 def calibrate_from_curves(inc: IncidenceMatrix, curves=None):

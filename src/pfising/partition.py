@@ -121,8 +121,7 @@ class PlanarPfaffianSolver:
 class NonplanarSolver:
     """Multicomplex pipeline for a crosscap-annotated scheme."""
 
-    def __init__(self, g: Graph, scheme: EmbeddingScheme,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, g: Graph, scheme: EmbeddingScheme):
         if scheme.n_crosscaps < 1:
             raise SchemeError("nonplanar route needs a crosscap-annotated scheme")
         self.graph = g
@@ -141,7 +140,6 @@ class NonplanarSolver:
             MULTICOMPLEX,
             surviving_curves=surviving,
             deleted_edges=self.transform.deleted,
-            rng=rng,
         )
         self.zeroed = zero_link_entries(
             self.inc.skew, self.inc.dart_graph, self.transform.deleted

@@ -184,12 +184,22 @@ def matching_sign(pairs, indices) -> int:
     for lo, hi in sorted((min(p), max(p)) for p in pairs):
         seq.append(order[lo])
         seq.append(order[hi])
-    inversions = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+    return permutation_sign(seq)
+
+
+def permutation_sign(perm) -> int:
+    """Sign of a permutation of range(len(perm)): (-1)**(n - number of cycles)."""
+    n = len(perm)
+    seen = [False] * n
+    cycles = 0
+    for start in range(n):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return -1 if (n - cycles) % 2 else 1
 
 
 def _pfaffian_masked(mat: np.ndarray, mask: int, memo: dict):

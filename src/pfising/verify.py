@@ -167,20 +167,18 @@ def _verify_nonplanar(fixture, report, rng, draws):
         report.max_deviations[f"{k} vs brute"] = v
     report.max_deviations["complex-sum vs multicomplex"] = worst_pair
     report.parity_classes = {k: c for k, (c, _m) in solver.class_table.items()}
-    if 2 * g.num_edges <= 24:
-        # dart guard: enumerate the curve functional on the fixture itself
-        reduced = reduce_to_minor(solver.inc, solver.transform, g)
-        spread_per_class = 0.0
-        table = {}
-        for _c, v in curve_functional_table(reduced):
-            mask = int(np.argmax(np.abs(v.coeffs)))
-            coeff = float(v.coeffs[mask])
-            if mask in table:
-                spread_per_class = max(spread_per_class, abs(table[mask] - coeff))
-            else:
-                table[mask] = coeff
-        report.fa_constant = True
-        report.fa_spread = spread_per_class / max(abs(v) for v in table.values())
+    reduced = reduce_to_minor(solver.inc, solver.transform, g)
+    spread_per_class = 0.0
+    table = {}
+    for _c, v in curve_functional_table(reduced):
+        mask = int(np.argmax(np.abs(v.coeffs)))
+        coeff = float(v.coeffs[mask])
+        if mask in table:
+            spread_per_class = max(spread_per_class, abs(table[mask] - coeff))
+        else:
+            table[mask] = coeff
+    report.fa_constant = True
+    report.fa_spread = spread_per_class / max(abs(v) for v in table.values())
 
 
 def reduced_minor(pair: str) -> tuple[IncidenceMatrix, MinorTransform]:

@@ -144,4 +144,5 @@ def test_every_fixture_verifies_quickly():
         start = time.time()
         report = verify_fixture(name, seed=1, draws=10)
         assert report.passed, name
+        assert report.fa_spread is not None, name
         assert time.time() - start < 60.0

@@ -184,6 +184,34 @@ def test_nonplanar_class_structure():
         assert (inc.lam * f_val).real == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("name, scheme_key", [
+    ("k5-projective", None),
+    ("torus-grid3x3", "even-crosscaps"),
+])
+def test_calibration_rejects_nonconstant_functional(monkeypatch, name, scheme_key):
+    # doubling one link entry leaves every curve value a monomial but makes
+    # curves of one class through that edge disagree with those avoiding it
+    from pfising import kasteleyn
+    from pfising.minors import build_host
+    from pfising.skewpf import SkewMatrix
+
+    assemble = kasteleyn._assemble
+
+    def doubled(g, d, site, edge, ring, n_generators):
+        a = assemble(g, d, site, edge, ring, n_generators)
+        data = a.data.copy()
+        i, j = d.link_edges[0]
+        data[i, j] *= 2.0
+        data[j, i] *= 2.0
+        return SkewMatrix(a.ring, data, a.n_generators)
+
+    monkeypatch.setattr(kasteleyn, "_assemble", doubled)
+    fx = get_fixture(name)
+    g2, s2, _t = build_host(fx.graph, fx.alt_schemes[scheme_key] if scheme_key else fx.scheme)
+    with pytest.raises(SolveError, match="functional is not constant per class"):
+        build_incidence_matrix(g2, s2, "multicomplex")
+
+
 def test_weighted_matrix_branches():
     fx = get_fixture("k5-projective")
     d = build_dart_graph(fx.graph)
