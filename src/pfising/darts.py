@@ -70,6 +70,14 @@ class DartGraph:
         return tuple(out)
 
     @cached_property
+    def pairs(self) -> np.ndarray:
+        """Read-only (S + E, 2) array of dart pairs: the site edges, then the
+        link edges, so link e is row ``len(site_edges) + e``."""
+        out = np.array(self.site_edges + self.link_edges, dtype=np.intp).reshape(-1, 2)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         adj = [set() for _ in range(self.num_darts)]
         for a, b in self.site_edges + self.link_edges:
@@ -213,8 +221,7 @@ def _ring_one(a: SkewMatrix):
 def _check_zero_pattern(a: SkewMatrix, d: DartGraph):
     n = a.order
     allowed = np.zeros((n, n), dtype=bool)
-    pairs = np.array(d.site_edges + d.link_edges, dtype=np.intp).reshape(-1, 2)
-    allowed[pairs[:, 0], pairs[:, 1]] = True
+    allowed[d.pairs[:, 0], d.pairs[:, 1]] = True
     size = np.abs(a.data).reshape(n, n, -1).max(axis=2)
     scale = max(1.0, a.scale_abs())
     bad = np.argwhere(np.triu(~allowed & (size > 1e-12 * scale), 1))

@@ -8,32 +8,37 @@ def to_gf2(matrix) -> np.ndarray:
     return np.asarray(matrix, dtype=np.uint8) % 2
 
 
+def _row_reduce(mat: np.ndarray, b: np.ndarray) -> list[int]:
+    """Gauss-Jordan elimination of ``mat`` in place, applying every row
+    operation to ``b`` as well; returns the pivot column of each pivot row."""
+    m, n = mat.shape
+    pivot_cols = []
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        below = np.flatnonzero(mat[row:, col])
+        if below.size == 0:
+            continue
+        pivot = row + int(below[0])
+        if pivot != row:
+            mat[[row, pivot]] = mat[[pivot, row]]
+            b[[row, pivot]] = b[[pivot, row]]
+        hit = np.flatnonzero(mat[:, col])
+        hit = hit[hit != row]
+        mat[hit] ^= mat[row]
+        b[hit] ^= b[row]
+        pivot_cols.append(col)
+        row += 1
+    return pivot_cols
+
+
 def gf2_rank(matrix) -> int:
-    """Rank over GF(2) by row reduction."""
+    """Rank over GF(2): the pivot count of the row reduction."""
     mat = to_gf2(matrix).copy()
     if mat.size == 0:
         return 0
-    m, n = mat.shape
-    rank = 0
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if mat[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != row:
-            mat[[row, pivot]] = mat[[pivot, row]]
-        for r in range(m):
-            if r != row and mat[r, col]:
-                mat[r, :] ^= mat[row, :]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
+    return len(_row_reduce(mat, np.zeros(mat.shape[0], dtype=np.uint8)))
 
 
 def gf2_solve(matrix, rhs) -> np.ndarray | None:
@@ -46,33 +51,11 @@ def gf2_solve(matrix, rhs) -> np.ndarray | None:
     m, n = mat.shape
     if b.shape[0] != m:
         raise ValueError("shape mismatch")
-    pivot_cols = []
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if mat[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != row:
-            mat[[row, pivot]] = mat[[pivot, row]]
-            b[[row, pivot]] = b[[pivot, row]]
-        for r in range(m):
-            if r != row and mat[r, col]:
-                mat[r, :] ^= mat[row, :]
-                b[r] ^= b[row]
-        pivot_cols.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if b[r]:
-            return None
+    pivot_cols = _row_reduce(mat, b)
+    if b[len(pivot_cols):].any():
+        return None
     x = np.zeros(n, dtype=np.uint8)
-    for r, col in enumerate(pivot_cols):
-        x[col] = b[r]
+    x[pivot_cols] = b[:len(pivot_cols)]
     return x
 
 

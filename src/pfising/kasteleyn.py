@@ -9,9 +9,9 @@ one GF(2) system per basis cycle.  Closed curves then contribute equally to
 the Pfaffian expansion within each crossing-parity class, which is what the
 partition-function formulas rely on.
 
-Entries live in a monomial form (real coefficient, crosscap subset mask):
-the real ring is the 0-generator case, the complex ring is the image of the
-multicomplex build under i_k -> i.
+Entries live in a monomial form (real coefficient, crosscap subset mask) and
+are stored once, on the dart pattern ``DartGraph.pairs``.  The ring is C_n
+for a scheme with n crosscaps; n = 0 is the real ring.
 """
 from __future__ import annotations
 
@@ -19,12 +19,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .darts import DartGraph, PerfectMatching, build_dart_graph, canonical_matching, even_degree_matching, f_weight
+from .darts import (
+    DartGraph,
+    PerfectMatching,
+    _check_zero_pattern,
+    build_dart_graph,
+    canonical_matching,
+    even_degree_matching,
+    f_weight,
+)
 from .embeddings import EmbeddingScheme, SchemeError, trace_faces, face_boundary_basis
 from .gf2 import gf2_solve, masks_to_matrix
 from .graphs import CurveMask, CycleBasis, Graph, GraphError, cycle_sequence, enumerate_closed_curves
 from .multicomplex import MulticomplexValue
-from .skewpf import COMPLEX, MULTICOMPLEX, REAL, SkewMatrix, derived_matrix, permutation_sign, pfaffian, submatrix
+from .skewpf import (
+    MULTICOMPLEX,
+    REAL,
+    SkewMatrix,
+    derived_matrix,
+    permutation_sign,
+    pfaffian,
+    skew_from_pairs,
+    submatrix,
+)
 
 EDGE_EQ_TOL = 1e-9
 CALIBRATION_TOL = 1e-7
@@ -334,7 +351,6 @@ def solve_cycle_equations(
     monomials only contribute a global (-1) per doubly-crossed crosscap,
     which the same GF(2) pass absorbs.
     """
-    rows = []
     rhs_bits = []
     for cyc in basis.cycles:
         visits = cycle_visits(g, cyc)
@@ -357,45 +373,47 @@ def solve_cycle_equations(
         if abs(abs(ratio) - 1.0) > 1e-6:
             raise SolveError("cycle equation residual is not a sign")
         rhs_bits.append(0 if ratio < 0 else 1)
-        row = np.zeros(g.num_edges, dtype=np.uint8)
-        for e_ in g.curve_edges(cyc):
-            row[e_] = 1
-        rows.append(row)
-    solution = gf2_solve(np.array(rows, dtype=np.uint8), np.array(rhs_bits, dtype=np.uint8))
+    solution = gf2_solve(masks_to_matrix(basis.cycles, g.num_edges), rhs_bits)
     if solution is None:
         raise SolveError("basis not independent")
-    coeffs = edge.coeffs.copy()
-    for e in range(g.num_edges):
-        if solution[e]:
-            coeffs[e] = -coeffs[e]
-    return EdgeAssignment(coeffs, edge.masks)
+    return EdgeAssignment(np.where(solution == 1, -edge.coeffs, edge.coeffs), edge.masks)
 
 
 @dataclass
 class IncidenceMatrix:
     """Dart-indexed skew matrix with its construction context.
 
-    class_values maps a crossing-parity class to (real coefficient,
-    monomial subset mask): the common value of the curve functional on that
-    class.  lam is the constant with Re(lam * F) = 1 on every class.
+    entries[k] is the matrix entry at dart pair ``dart_graph.pairs[k]``: a
+    real number when n_generators is 0, else its 2**n_generators
+    coefficients in C_n.  class_values maps a crossing-parity class to (real
+    coefficient, monomial subset mask): the common value of the curve
+    functional on that class.  lam is the constant with Re(lam * F) = 1 on
+    every class.
     """
 
     graph: Graph
     dart_graph: DartGraph
-    ring: str
-    skew: SkewMatrix
+    entries: np.ndarray
     site: SiteAssignment
     edge: EdgeAssignment
     reference_matching: PerfectMatching
-    reference_kind: str  # "even-degree" | "all-links"
     lam: object = None
     class_values: dict = field(default_factory=dict)
     n_generators: int = 0
 
     @property
-    def f0(self) -> float:
-        value = self.class_values.get(0)
-        return value[0] if value else None
+    def ring(self) -> str:
+        return MULTICOMPLEX if self.n_generators else REAL
+
+    @property
+    def skew(self) -> SkewMatrix:
+        """The dense matrix, scattered from ``entries`` on every access."""
+        return self.dense(self.entries)
+
+    def dense(self, entries) -> SkewMatrix:
+        """Dense matrix of an entry array laid out like ``entries``."""
+        d = self.dart_graph
+        return skew_from_pairs(self.ring, d.num_darts, d.pairs, entries, self.n_generators)
 
 
 def site_block_pfaffian(site: SiteAssignment, v: int) -> float:
@@ -403,57 +421,31 @@ def site_block_pfaffian(site: SiteAssignment, v: int) -> float:
     return s * sbar - t * tbar + u * ubar
 
 
-def _assemble(g: Graph, d: DartGraph, site: SiteAssignment, edge: EdgeAssignment,
-              ring: str, n_generators: int) -> SkewMatrix:
-    n = d.num_darts
-    if ring == MULTICOMPLEX:
-        data = np.zeros((n, n, 1 << n_generators))
-    elif ring == COMPLEX:
-        data = np.zeros((n, n), dtype=np.complex128)
-    else:
-        data = np.zeros((n, n))
-    for v in range(g.num_vertices):
-        ids = d.vertex_dart_ids(v)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                val = site.entry(v, a, b)
-                i, j = ids[a], ids[b]
-                if ring == MULTICOMPLEX:
-                    data[i, j, 0] = val
-                    data[j, i, 0] = -val
-                else:
-                    data[i, j] = val
-                    data[j, i] = -val
-    for e in range(g.num_edges):
-        i, j = d.link_edges[e]
-        c, m = float(edge.coeffs[e]), edge.masks[e]
-        if ring == MULTICOMPLEX:
-            data[i, j, m] = c
-            data[j, i, m] = -c
-        elif ring == COMPLEX:
-            val = c * (1j ** int(m).bit_count())
-            data[i, j] = val
-            data[j, i] = -val
-        else:
-            if m != 0:
-                raise SolveError("real ring requested but an entry is imaginary")
-            data[i, j] = c
-            data[j, i] = -c
-    return SkewMatrix(ring, data, n_generators if ring == MULTICOMPLEX else 0)
+def _assemble(d: DartGraph, site: SiteAssignment, edge: EdgeAssignment,
+              n_generators: int) -> np.ndarray:
+    """Entries on ``d.pairs``: each vertex's six site entries in pair order,
+    then each edge's monomial (one-hot at its mask in C_n)."""
+    site_part = site.values[:, [0, 2, 4, 5, 3, 1]].ravel()
+    if not n_generators:
+        return np.concatenate([site_part, edge.coeffs])
+    entries = np.zeros((len(d.pairs), 1 << n_generators))
+    entries[:len(site_part), 0] = site_part
+    entries[len(site_part) + np.arange(len(edge.coeffs)), edge.masks] = edge.coeffs
+    return entries
 
 
 def build_incidence_matrix(
     g: Graph,
     scheme: EmbeddingScheme,
-    ring: str = REAL,
     surviving_curves: list[CurveMask] | None = None,
     deleted_edges=(),
 ) -> IncidenceMatrix:
     """Run the three solvers over the face-boundary family and assemble.
 
-    For the multicomplex ring, each edge entry carries prod i_k over its
-    crosscap list; the class table is read from the curve functional and
-    checked against weighted Pfaffians of the assembled matrix (restricted to
+    The entries lie in C_n for the scheme's n crosscaps (real when n = 0),
+    and each edge entry carries prod i_k over its crosscap list.  With
+    crosscaps, the class table is read from the curve functional and checked
+    against weighted Pfaffians of the assembled matrix (restricted to
     ``surviving_curves`` when the matrix will be used with link deletions).
     """
     if not g.is_regular(4):
@@ -465,33 +457,27 @@ def build_incidence_matrix(
         raise SchemeError(
             "faces not cycles; apply subdivide_to_cycle_faces first"
         )
-    if ring == REAL and any(scheme.signature(e) < 0 for e in range(g.num_edges)):
-        raise SolveError("real ring impossible: scheme has odd-crosscap edges")
     basis = face_boundary_basis(g, scheme, report)
     d = build_dart_graph(g)
     site = solve_site_equations(g, basis, scheme)
     edge = solve_edge_equations(g, site, basis, scheme)
     edge = solve_cycle_equations(g, site, edge, basis)
-    n_gen = scheme.n_crosscaps if ring in (MULTICOMPLEX, COMPLEX) else 0
-    skew = _assemble(g, d, site, edge, ring, n_gen)
-    m0 = even_degree_matching(d)
-    f0 = float(np.prod([site_block_pfaffian(site, v) for v in range(g.num_vertices)]))
+    n_gen = scheme.n_crosscaps
     inc = IncidenceMatrix(
         graph=g,
         dart_graph=d,
-        ring=ring,
-        skew=skew,
+        entries=_assemble(d, site, edge, n_gen),
         site=site,
         edge=edge,
-        reference_matching=m0,
-        reference_kind="even-degree",
-        n_generators=n_gen if ring == MULTICOMPLEX else 0,
+        reference_matching=even_degree_matching(d),
+        n_generators=n_gen,
     )
-    if ring == MULTICOMPLEX and n_gen > 0:
+    if n_gen:
         _calibrate_multicomplex(inc, scheme, surviving_curves, deleted_edges)
-    elif ring == REAL or all(m == 0 for m in edge.masks):
+    else:
+        f0 = float(np.prod([site_block_pfaffian(site, v) for v in range(g.num_vertices)]))
         inc.class_values = {0: (f0, 0)}
-        inc.lam = f0 if ring == REAL else complex(f0)
+        inc.lam = f0
     return inc
 
 
@@ -501,42 +487,39 @@ def weighted_matrix(
     m0: PerfectMatching,
     weights,
 ) -> SkewMatrix:
-    """Scale link entries by w (outside m0) or 1/w (inside m0)."""
+    """Scale link entries by w (outside m0) or 1/w (inside m0); the result
+    is supported on the dart pattern."""
     w = np.asarray(weights, dtype=np.float64)
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
-    data = a.data.copy()
-    for e in range(len(d.link_edges)):
-        i, j = d.link_edges[e]
-        factor = 1.0 / w[e] if (i, j) in m0 else w[e]
-        data[i, j] = data[i, j] * factor
-        data[j, i] = data[j, i] * factor
-    return SkewMatrix(a.ring, data, a.n_generators)
+    mate = np.full(d.num_darts, -1, dtype=np.intp)
+    matched = np.array(list(m0), dtype=np.intp).reshape(-1, 2)
+    mate[matched[:, 0]] = matched[:, 1]
+    mate[matched[:, 1]] = matched[:, 0]
+    links = d.pairs[len(d.site_edges):]
+    factor = np.where(mate[links[:, 0]] == links[:, 1], 1.0 / w, w)
+    entries = a.data[d.pairs[:, 0], d.pairs[:, 1]]
+    entries[len(d.site_edges):] *= factor.reshape((-1,) + (1,) * (entries.ndim - 1))
+    return skew_from_pairs(a.ring, a.order, d.pairs, entries, a.n_generators)
 
 
-def zero_link_entries(a: SkewMatrix, d: DartGraph, edges) -> SkewMatrix:
-    """Kill the link entries of the given edges (deletion under an
-    empty-intersection reference matching)."""
-    data = a.data.copy()
-    for e in edges:
-        i, j = d.link_edges[e]
-        data[i, j] = 0 * data[i, j]
-        data[j, i] = 0 * data[j, i]
-    return SkewMatrix(a.ring, data, a.n_generators)
+def zero_link_entries(inc: IncidenceMatrix, edges) -> SkewMatrix:
+    """Dense matrix with the link entries of the given edges killed
+    (deletion under an empty-intersection reference matching)."""
+    entries = inc.entries.copy()
+    entries[len(inc.dart_graph.site_edges) + np.fromiter(edges, dtype=np.intp)] = 0.0
+    return inc.dense(entries)
 
 
-def zero_site_entries_at(a: SkewMatrix, d: DartGraph, edges) -> SkewMatrix:
-    """Kill the site entries touching darts of the given edges (deletion
-    under the all-links reference matching)."""
-    targets = set()
-    for e in edges:
-        targets.update(d.link_edges[e])
-    data = a.data.copy()
-    for i, j in d.site_edges:
-        if i in targets or j in targets:
-            data[i, j] = 0 * data[i, j]
-            data[j, i] = 0 * data[j, i]
-    return SkewMatrix(a.ring, data, a.n_generators)
+def zero_site_entries_at(inc: IncidenceMatrix, edges) -> np.ndarray:
+    """Entries with the site entries touching darts of the given edges killed
+    (deletion under the all-links reference matching)."""
+    d = inc.dart_graph
+    n_site = len(d.site_edges)
+    targets = d.pairs[n_site + np.fromiter(edges, dtype=np.intp)]
+    entries = inc.entries.copy()
+    entries[:n_site][np.isin(d.pairs[:n_site], targets).any(axis=1)] = 0.0
+    return entries
 
 
 def _curve_blocks(curves, width):
@@ -564,9 +547,7 @@ def _calibrate_multicomplex(inc, scheme, surviving_curves, deleted_edges):
     n_gen = inc.n_generators
     if surviving_curves is None:
         surviving_curves = enumerate_closed_curves(g)
-    measured = (
-        zero_link_entries(inc.skew, d, deleted_edges) if deleted_edges else inc.skew
-    )
+    measured = zero_link_entries(inc, deleted_edges)
     crossing = masks_to_matrix(
         [scheme.crosscap_parity_mask(e) for e in range(g.num_edges)], n_gen
     )
@@ -629,35 +610,17 @@ def _normalize_class_signs(inc, class_values, class_masks):
     if not defects.any():
         return
     n_gen = inc.n_generators
-    rows = np.zeros((len(class_masks), n_gen), dtype=np.uint8)
-    for i, cm in enumerate(class_masks):
-        for k in range(n_gen):
-            rows[i, k] = (cm >> k) & 1
+    rows = masks_to_matrix(class_masks, n_gen)
     x = gf2_solve(rows, defects)
-    if x is None:
+    if x is None or not x.any():
         return
     # flipping generator k requires every basis face to cross it evenly,
     # which holds because face boundaries have trivial crossing parity
-    flip_mask = 0
-    for k in range(n_gen):
-        if x[k]:
-            flip_mask |= 1 << k
-    if flip_mask == 0:
-        return
-    edge = inc.edge
-    coeffs = edge.coeffs.copy()
-    d = inc.dart_graph
-    data = inc.skew.data.copy()
-    for e in range(inc.graph.num_edges):
-        if int(edge.masks[e] & flip_mask).bit_count() % 2:
-            coeffs[e] = -coeffs[e]
-            i, j = d.link_edges[e]
-            data[i, j] = -data[i, j]
-            data[j, i] = -data[j, i]
-    inc.edge = EdgeAssignment(coeffs, edge.masks)
-    inc.skew = SkewMatrix(inc.skew.ring, data, inc.skew.n_generators)
-    for i, cm in enumerate(class_masks):
-        if int(cm & flip_mask).bit_count() % 2:
+    sign = np.where(masks_to_matrix(inc.edge.masks, n_gen) @ x % 2, -1.0, 1.0)
+    inc.edge = EdgeAssignment(inc.edge.coeffs * sign, inc.edge.masks)
+    inc.entries[len(inc.dart_graph.site_edges):] *= sign[:, None]
+    for cm, flipped in zip(class_masks, rows @ x % 2):
+        if flipped:
             class_values[cm] = -class_values[cm]
 
 
@@ -676,7 +639,7 @@ def reduce_to_minor(
     """
     g2 = inc.graph
     d2 = inc.dart_graph
-    checked = zero_site_entries_at(inc.skew, d2, t.deleted)
+    checked = inc.dense(zero_site_entries_at(inc, t.deleted))
     k_indices = sorted(
         i
         for e in (set(t.deleted) | set(t.contracted))
@@ -686,7 +649,7 @@ def reduce_to_minor(
         return inc
     pf_k = pfaffian(submatrix(checked, k_indices))
     pf_k_mag = pf_k.max_abs() if inc.ring == MULTICOMPLEX else abs(pf_k)
-    if pf_k_mag < 1e-12 * max(1.0, inc.skew.scale_abs()):
+    if pf_k_mag < 1e-12 * max(1.0, float(np.max(np.abs(inc.entries)))):
         raise SolveError("degenerate reduction")
     reduced = derived_matrix(checked, k_indices)
     comp = [i for i in range(d2.num_darts) if i not in set(k_indices)]
@@ -698,25 +661,21 @@ def reduce_to_minor(
         dart1 = (t.vertex_map[v2], t.edge_map[e2])
         target.append(d1.dart_index[dart1])
     perm = np.argsort(np.array(target))
-    data = reduced.data[perm][:, perm] if reduced.data.ndim == 2 else reduced.data[perm][:, perm, :]
-    sign = permutation_sign(perm)
-    skew1 = SkewMatrix(inc.skew.ring, data, inc.skew.n_generators)
-    m1 = canonical_matching(d1)
+    a1 = SkewMatrix(inc.ring, reduced.data[perm][:, perm], inc.n_generators)
+    _check_zero_pattern(a1, d1)
     out = IncidenceMatrix(
         graph=g1,
         dart_graph=d1,
-        ring=inc.ring,
-        skew=skew1,
+        entries=a1.data[d1.pairs[:, 0], d1.pairs[:, 1]],
         site=inc.site,
         edge=inc.edge,
-        reference_matching=m1,
-        reference_kind="all-links",
+        reference_matching=canonical_matching(d1),
         n_generators=inc.n_generators,
     )
     if inc.ring == REAL:
         n = d2.num_darts // 2
         p = len(k_indices) // 2
-        lam1 = sign * (pf_k ** (n - p - 1)) * inc.lam
+        lam1 = permutation_sign(perm) * (pf_k ** (n - p - 1)) * inc.lam
         out.lam = lam1
         out.class_values = {0: (lam1, 0)}
     else:
@@ -733,10 +692,10 @@ def calibrate_from_curves(inc: IncidenceMatrix, curves=None):
     g = inc.graph
     if curves is None:
         curves = enumerate_closed_curves(g)
-    m0 = inc.reference_matching
+    a = inc.skew
     table: dict[int, float] = {}
     for c in curves:
-        value = f_weight(inc.skew, inc.dart_graph, m0, c)
+        value = f_weight(a, inc.dart_graph, inc.reference_matching, c)
         if inc.ring == MULTICOMPLEX:
             vec = value.coeffs
             mask = int(np.argmax(np.abs(vec)))
@@ -746,9 +705,7 @@ def calibrate_from_curves(inc: IncidenceMatrix, curves=None):
                 raise SolveError("curve functional is not a single monomial")
         else:
             mask = 0
-            coeff = float(np.real(value))
-            if abs(np.imag(complex(value))) > CALIBRATION_TOL:
-                raise SolveError("curve functional is not real")
+            coeff = float(value)
             if abs(coeff) < 1e-12:
                 raise SolveError("curve functional vanishes")
         if mask in table:
@@ -807,13 +764,7 @@ def _edges_to_mask(edges) -> int:
 
 def random_incidence_matrix(d: DartGraph, rng: np.random.Generator) -> SkewMatrix:
     """Random real skew matrix supported on the dart-graph edge pattern."""
-    n = d.num_darts
-    data = np.zeros((n, n))
-    for i, j in d.site_edges + d.link_edges:
-        v = rng.normal()
-        data[i, j] = v
-        data[j, i] = -v
-    return SkewMatrix(REAL, data)
+    return skew_from_pairs(REAL, d.num_darts, d.pairs, rng.normal(size=len(d.pairs)))
 
 
 def obstruction_check(which: str, a: SkewMatrix, d: DartGraph | None = None) -> dict:
@@ -834,8 +785,6 @@ def obstruction_check(which: str, a: SkewMatrix, d: DartGraph | None = None) -> 
         d = build_dart_graph(g)
     if a.order != d.num_darts:
         raise GraphError("matrix has the wrong dart pattern")
-    from .darts import _check_zero_pattern
-
     _check_zero_pattern(a, d)
     m0 = canonical_matching(d)
     values = [f_weight(a, d, m0, _edges_to_mask(cyc)) for cyc in fam]

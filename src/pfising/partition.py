@@ -36,7 +36,7 @@ from .kasteleyn import (
 )
 from .minors import build_host, curve_preimage, transported_weights
 from .multicomplex import half_character_table
-from .skewpf import MULTICOMPLEX, REAL, SkewMatrix, character_pfaffians, pfaffian
+from .skewpf import SkewMatrix, character_pfaffians, pfaffian
 
 ISING_BRUTEFORCE_MAX_VERTICES = 20
 
@@ -105,10 +105,8 @@ class PlanarPfaffianSolver:
     def __init__(self, g: Graph, scheme: EmbeddingScheme):
         self.graph = g
         self.host, s2, self.transform = build_host(g, resolve_planar_scheme(g, scheme))
-        self.inc = build_incidence_matrix(self.host, s2, REAL)
-        self.zeroed = zero_link_entries(
-            self.inc.skew, self.inc.dart_graph, self.transform.deleted
-        )
+        self.inc = build_incidence_matrix(self.host, s2)
+        self.zeroed = zero_link_entries(self.inc, self.transform.deleted)
 
     def evaluate(self, w: WeightFunction) -> float:
         wt = transported_weights(self.transform, w.values, self.host.num_edges)
@@ -135,15 +133,9 @@ class NonplanarSolver:
         else:
             surviving = [curve_preimage(g2, self.transform, c) for c in curves]
         self.inc = build_incidence_matrix(
-            g2,
-            s2,
-            MULTICOMPLEX,
-            surviving_curves=surviving,
-            deleted_edges=self.transform.deleted,
+            g2, s2, surviving_curves=surviving, deleted_edges=self.transform.deleted
         )
-        self.zeroed = zero_link_entries(
-            self.inc.skew, self.inc.dart_graph, self.transform.deleted
-        )
+        self.zeroed = zero_link_entries(self.inc, self.transform.deleted)
         self._lam_images = self.inc.lam.coeffs @ half_character_table(self.n_generators)
 
     @property
@@ -269,7 +261,5 @@ def curve_functional_table(inc: IncidenceMatrix, curves=None) -> list:
     g = inc.graph
     if curves is None:
         curves = enumerate_closed_curves(g)
-    out = []
-    for c in curves:
-        out.append((c, f_weight(inc.skew, inc.dart_graph, inc.reference_matching, c)))
-    return out
+    a = inc.skew
+    return [(c, f_weight(a, inc.dart_graph, inc.reference_matching, c)) for c in curves]

@@ -12,7 +12,8 @@ characters sending i_1 -> +i; every multicomplex route is derived from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -86,25 +87,28 @@ class SkewMatrix:
         return SkewMatrix(COMPLEX, self.data @ vec)
 
 
+def skew_from_pairs(ring: str, order: int, pairs, values, n_generators: int = 0) -> SkewMatrix:
+    """Skew matrix with ``values[k]`` at ``pairs[k] = (i, j)`` and its negative at (j, i).
+
+    ``values`` has shape (P,) for the real and complex rings and
+    (P, 2**n_generators) for the multicomplex ring; every other entry is zero.
+    """
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    tail = (1 << n_generators,) if ring == MULTICOMPLEX else ()
+    dtype = np.complex128 if ring == COMPLEX else np.float64
+    values = np.asarray(values, dtype=dtype).reshape((len(pairs),) + tail)
+    data = np.zeros((order, order) + tail, dtype=dtype)
+    data[pairs[:, 0], pairs[:, 1]] = values
+    data[pairs[:, 1], pairs[:, 0]] = -values
+    return SkewMatrix(ring, data, n_generators)
+
+
 def skew_from_upper(order: int, entries: dict, ring: str = REAL, n_generators: int = 0) -> SkewMatrix:
     """Build a SkewMatrix from upper-triangular entries {(i, j): value}, i < j."""
-    if ring == MULTICOMPLEX:
-        data = np.zeros((order, order, 1 << n_generators))
-    elif ring == COMPLEX:
-        data = np.zeros((order, order), dtype=np.complex128)
-    else:
-        data = np.zeros((order, order))
-    for (i, j), value in entries.items():
-        if not i < j:
-            raise ValueError("upper-triangular entries require i < j")
-        if ring == MULTICOMPLEX:
-            v = value.coeffs if isinstance(value, MulticomplexValue) else value
-            data[i, j] = v
-            data[j, i] = -np.asarray(v)
-        else:
-            data[i, j] = value
-            data[j, i] = -value
-    return SkewMatrix(ring, data, n_generators)
+    if any(not i < j for i, j in entries):
+        raise ValueError("upper-triangular entries require i < j")
+    values = [v.coeffs if isinstance(v, MulticomplexValue) else v for v in entries.values()]
+    return skew_from_pairs(ring, order, list(entries), values, n_generators)
 
 
 def _pfaffian_field(mat: np.ndarray) -> complex:
@@ -264,23 +268,14 @@ def derived_matrix(a: SkewMatrix, indices) -> SkewMatrix:
     if len(k) % 2:
         raise ValueError("index block must have even size")
     comp = [i for i in range(a.order) if i not in set(k)]
-    m = len(comp)
-    if a.ring == MULTICOMPLEX:
-        data = np.zeros((m, m, 1 << a.n_generators))
-    else:
-        data = np.zeros((m, m), dtype=a.data.dtype)
-    for p in range(m):
-        for q in range(p + 1, m):
-            block = sorted(k + [comp[p], comp[q]])
-            val = pfaffian(submatrix(a, block))
-            if a.ring == MULTICOMPLEX:
-                data[p, q] = val.coeffs
-                data[q, p] = -val.coeffs
-            else:
-                data[p, q] = val
-                data[q, p] = -val
+    pairs = list(combinations(range(len(comp)), 2))
+    values = []
+    for p, q in pairs:
+        val = pfaffian(submatrix(a, sorted(k + [comp[p], comp[q]])))
+        values.append(val.coeffs if a.ring == MULTICOMPLEX else val)
+    out = skew_from_pairs(a.ring, len(comp), pairs, values, a.n_generators)
     labels = tuple(a.labels[i] for i in comp) if a.labels is not None else None
-    return SkewMatrix(a.ring, data, a.n_generators, labels)
+    return replace(out, labels=labels)
 
 
 def reduce(a: SkewMatrix, indices) -> tuple:

@@ -190,7 +190,7 @@ def reduced_minor(pair: str) -> tuple[IncidenceMatrix, MinorTransform]:
     host, minor, tm = fixture_zoo.minor_pair(pair)
     scheme = resolve_planar_scheme(host, fixture_zoo.get_fixture("grid3x3").scheme)
     big, big_scheme, t = build_host(host, scheme)
-    inc_host = reduce_to_minor(build_incidence_matrix(big, big_scheme, "real"), t, host)
+    inc_host = reduce_to_minor(build_incidence_matrix(big, big_scheme), t, host)
     return reduce_to_minor(inc_host, tm, minor), tm
 
 

@@ -89,7 +89,7 @@ def test_criterion_3_functional_constancy():
         s0 = resolve_planar_scheme(fx.graph, fx.scheme)
         g1, s1, t1 = four_regularize(fx.graph, s0)
         g2, s2, t2 = subdivide_to_cycle_faces(g1, s1)
-        inc = build_incidence_matrix(g2, s2, "real")
+        inc = build_incidence_matrix(g2, s2)
         red = reduce_to_minor(inc, compose_transforms(t2, t1), fx.graph)
         values = [
             f_weight(red.skew, red.dart_graph, red.reference_matching, c)
@@ -208,7 +208,7 @@ def test_criterion_8_minor_reduction():
     g1, s1, t1 = four_regularize(base.graph, s0)
     g2, s2, t2 = subdivide_to_cycle_faces(g1, s1)
     inc_host = reduce_to_minor(
-        build_incidence_matrix(g2, s2, "real"), compose_transforms(t2, t1), base.graph
+        build_incidence_matrix(g2, s2), compose_transforms(t2, t1), base.graph
     )
     worst = 0.0
     for name in ("hex-patch", "tri-patch"):

@@ -168,7 +168,7 @@ def test_f_weight_site_block_identity():
     s0 = resolve_planar_scheme(fx.graph, fx.scheme)
     g1, s1, _ = four_regularize(fx.graph, s0)
     g2, s2, _ = subdivide_to_cycle_faces(g1, s1)
-    inc = build_incidence_matrix(g2, s2, "real")
+    inc = build_incidence_matrix(g2, s2)
     expected = float(
         np.prod([site_block_pfaffian(inc.site, v) for v in range(g2.num_vertices)])
     )

@@ -60,7 +60,7 @@ def test_weight_spec_file(tmp_path):
 
 def test_matrix_dump_formats():
     fx = get_fixture("k5-projective")
-    inc = build_incidence_matrix(fx.graph, fx.scheme, "multicomplex")
+    inc = build_incidence_matrix(fx.graph, fx.scheme)
     text = format_matrix(inc.skew, labels=inc.dart_graph.darts)
     lines = text.splitlines()
     assert lines[0] == "order 20"

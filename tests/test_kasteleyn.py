@@ -142,23 +142,43 @@ def test_cycle_equations_hold_after_solve():
         assert prod_b == pytest.approx(-prod_u)
 
 
-def test_real_build_rejected_on_crosscap_scheme():
-    fx = get_fixture("k5-projective")
-    with pytest.raises(SolveError, match="real ring impossible"):
-        build_incidence_matrix(fx.graph, fx.scheme, "real")
+@pytest.mark.parametrize("name, scheme_key, width", [
+    pytest.param("grid3x3", None, None, id="grid3x3-host"),
+    pytest.param("k5-projective", None, 2, id="k5-projective"),
+    pytest.param("torus-grid3x3", "even-crosscaps", 8, id="torus-grid3x3-even"),
+])
+def test_incidence_entries_on_dart_pattern(name, scheme_key, width):
+    from pfising.minors import build_host
 
-
-def test_complex_build_succeeds_on_projective_k5():
-    fx = get_fixture("k5-projective")
-    inc = build_incidence_matrix(fx.graph, fx.scheme, "complex")
-    assert inc.skew.ring == "complex"
-    assert np.any(np.abs(inc.skew.data.imag) > 0)
+    fx = get_fixture(name)
+    scheme = fx.alt_schemes[scheme_key] if scheme_key else fx.scheme
+    if fx.planar:
+        scheme = resolve_planar_scheme(fx.graph, scheme)
+    g2, s2, _t = build_host(fx.graph, scheme)
+    inc = build_incidence_matrix(g2, s2)
+    d = inc.dart_graph
+    assert inc.entries.shape == ((len(d.pairs),) if width is None else (len(d.pairs), width))
+    data = inc.skew.data
+    i, j = d.pairs.T
+    assert np.array_equal(data[i, j], inc.entries)
+    off = np.ones(data.shape[:2], dtype=bool)
+    off[i, j] = off[j, i] = False
+    assert not data[off].any()
+    # every entry is one monomial: site entries real, link entries at the edge's mask
+    assert np.all(np.count_nonzero(inc.entries.reshape(len(d.pairs), -1), axis=1) == 1)
+    for v in range(g2.num_vertices):
+        ids = d.vertex_dart_ids(v)
+        for a in range(4):
+            for b in range(a + 1, 4):
+                assert np.ravel(data[ids[a], ids[b]])[0] == inc.site.entry(v, a, b)
+    for e, (i, j) in enumerate(d.link_edges):
+        assert np.ravel(data[i, j])[inc.edge.masks[e]] == inc.edge.coeffs[e]
 
 
 def test_functional_constant_on_planar_fixtures():
     for name in ("k3", "c4", "k4", "grid2x2"):
         g, g2, s2, t = planar_pipeline(name)
-        inc = build_incidence_matrix(g2, s2, "real")
+        inc = build_incidence_matrix(g2, s2)
         reduced = reduce_to_minor(inc, t, g)
         values = [
             f_weight(reduced.skew, reduced.dart_graph, reduced.reference_matching, c)
@@ -171,7 +191,7 @@ def test_functional_constant_on_planar_fixtures():
 
 def test_nonplanar_class_structure():
     fx = get_fixture("k5-projective")
-    inc = build_incidence_matrix(fx.graph, fx.scheme, "multicomplex")
+    inc = build_incidence_matrix(fx.graph, fx.scheme)
     assert set(inc.class_values) == {0, 1}
     (c0, m0), (c1, m1) = inc.class_values[0], inc.class_values[1]
     assert m0 == 0 and m1 == 1
@@ -193,23 +213,19 @@ def test_calibration_rejects_nonconstant_functional(monkeypatch, name, scheme_ke
     # curves of one class through that edge disagree with those avoiding it
     from pfising import kasteleyn
     from pfising.minors import build_host
-    from pfising.skewpf import SkewMatrix
 
     assemble = kasteleyn._assemble
 
-    def doubled(g, d, site, edge, ring, n_generators):
-        a = assemble(g, d, site, edge, ring, n_generators)
-        data = a.data.copy()
-        i, j = d.link_edges[0]
-        data[i, j] *= 2.0
-        data[j, i] *= 2.0
-        return SkewMatrix(a.ring, data, a.n_generators)
+    def doubled(d, site, edge, n_generators):
+        entries = assemble(d, site, edge, n_generators)
+        entries[len(d.site_edges)] *= 2.0  # link entry of edge 0
+        return entries
 
     monkeypatch.setattr(kasteleyn, "_assemble", doubled)
     fx = get_fixture(name)
     g2, s2, _t = build_host(fx.graph, fx.alt_schemes[scheme_key] if scheme_key else fx.scheme)
     with pytest.raises(SolveError, match="functional is not constant per class"):
-        build_incidence_matrix(g2, s2, "multicomplex")
+        build_incidence_matrix(g2, s2)
 
 
 def test_weighted_matrix_branches():
@@ -235,7 +251,7 @@ def test_reduce_to_minor_empty_transform_is_identity():
     from pfising.minors import MinorTransform
 
     g, g2, s2, t = planar_pipeline("k3")
-    inc = build_incidence_matrix(g2, s2, "real")
+    inc = build_incidence_matrix(g2, s2)
     same = reduce_to_minor(inc, MinorTransform.identity(g2), g2)
     assert same is inc
 
@@ -245,7 +261,7 @@ def test_reduce_contract_one_edge_preserves_z():
     from pfising.minors import complete_transform
 
     g, g2, s2, t = planar_pipeline("k4")
-    inc = build_incidence_matrix(g2, s2, "real")
+    inc = build_incidence_matrix(g2, s2)
     big = reduce_to_minor(inc, t, g)  # incidence matrix on K4 itself
     # now contract edge 0 of K4 ({0,1}) and compare partition values
     minor, tc = complete_transform(g, (), (0,))

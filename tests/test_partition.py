@@ -69,6 +69,13 @@ def test_planar_route_matches_bruteforce(name):
         assert abs(solver.evaluate(w) - zb) / abs(zb) <= 1e-9
 
 
+def test_planar_solver_holds_one_dense_matrix():
+    fx = get_fixture("grid3x3")
+    solver = PlanarPfaffianSolver(fx.graph, fx.scheme)
+    held = list(vars(solver).values()) + list(vars(solver.inc).values())
+    assert sum(isinstance(v, skewpf.SkewMatrix) for v in held) == 1
+
+
 def test_planar_route_rejects_nonplanar_scheme():
     fx = get_fixture("k5-projective")
     with pytest.raises(SchemeError, match="not planar"):
