@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument(
         "--method",
         default="auto",
-        choices=["brute", "planar", "multicomplex", "complex-sum", "real-sum", "auto"],
+        choices=[*ROUTES, "auto"],
     )
     pc.add_argument("--dump-matrix", dest="dump_matrix")
     pc.add_argument("--json", action="store_true")

@@ -148,8 +148,9 @@ def _reverse_state(g: Graph, s: EmbeddingScheme, state):
     return (g.other_endpoint(e, v), e, -sense * s.signature(e))
 
 
-def scheme_is_orientable(g: Graph, s: EmbeddingScheme) -> bool:
-    """True when the signature is a coboundary (removable by vertex flips)."""
+def _vertex_flips(g: Graph, s: EmbeddingScheme) -> list[int] | None:
+    """Vertex signs tau (+-1) with tau[u] * tau[v] = signature(e) on every
+    edge, or None when the signature is not a coboundary."""
     tau = [0] * g.num_vertices  # 0 unknown, else +-1
     for root in range(g.num_vertices):
         if tau[root]:
@@ -165,8 +166,13 @@ def scheme_is_orientable(g: Graph, s: EmbeddingScheme) -> bool:
                     tau[w] = want
                     stack.append(w)
                 elif tau[w] != want:
-                    return False
-    return True
+                    return None
+    return tau
+
+
+def scheme_is_orientable(g: Graph, s: EmbeddingScheme) -> bool:
+    """True when the signature is a coboundary (removable by vertex flips)."""
+    return _vertex_flips(g, s) is not None
 
 
 def trace_faces(g: Graph, s: EmbeddingScheme) -> FaceReport:
@@ -255,19 +261,9 @@ def resolve_planar_scheme(g: Graph, s: EmbeddingScheme) -> EmbeddingScheme:
     report = trace_faces(g, s)
     if report.euler_characteristic != 2:
         raise SchemeError("not planar; use nonplanar route")
-    tau = [0] * g.num_vertices
-    tau[0] = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for e in g.adjacency[v]:
-            w = g.other_endpoint(e, v)
-            want = tau[v] * s.signature(e)
-            if tau[w] == 0:
-                tau[w] = want
-                stack.append(w)
-            elif tau[w] != want:
-                raise SchemeError("genus-0 scheme with non-coboundary signature")
+    tau = _vertex_flips(g, s)
+    if tau is None:
+        raise SchemeError("genus-0 scheme with non-coboundary signature")
     rotations = [
         tuple(reversed(s.rotations[v])) if tau[v] < 0 else s.rotations[v]
         for v in range(g.num_vertices)

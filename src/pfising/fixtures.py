@@ -166,52 +166,44 @@ def k33_projective() -> Fixture:
     return Fixture("k33-projective", g, s, planar=False)
 
 
-def torus_grid3x3() -> Fixture:
-    """3x3 grid on the torus: 4-regular, all faces 4-cycles.
+def torus_grid(side: int) -> Fixture:
+    """side x side grid on the torus: 4-regular, all faces 4-cycles.
 
-    The default scheme is the orientable torus rotation (up, right, down,
-    left at every vertex).  The alternative "even-crosscaps" scheme keeps the
-    same rotation but routes the wraparound edges through three crosscaps so
-    that every edge crosses crosscaps an even number of times: horizontal
-    wrap edges cross caps {1, 2}, vertical wrap edges cross caps {1, 3}.
+    Edges run row by row, at each vertex first its right edge, then its down
+    edge.  The default scheme is the orientable torus rotation (up, right,
+    down, left at every vertex).  The alternative "even-crosscaps" scheme
+    keeps the same rotation but routes the wraparound edges through three
+    crosscaps so that every edge crosses crosscaps an even number of times:
+    horizontal wrap edges cross caps {1, 2}, vertical wrap edges cross caps
+    {1, 3}.
     """
 
     def vid(r, c):
-        return 3 * r + c
+        return side * (r % side) + c % side
 
-    edges = []
-    edge_id = {}
-    for r in range(3):
-        for c in range(3):
-            edge_id[("h", r, c)] = len(edges)
-            edges.append((vid(r, c), vid(r, (c + 1) % 3)))
-            edge_id[("v", r, c)] = len(edges)
-            edges.append((vid(r, c), vid((r + 1) % 3, c)))
-    g = Graph(9, tuple(edges))
-    rotations = []
-    for r in range(3):
-        for c in range(3):
-            rotations.append((
-                edge_id[("v", (r - 1) % 3, c)],  # up
-                edge_id[("h", r, c)],            # right
-                edge_id[("v", r, c)],            # down
-                edge_id[("h", r, (c - 1) % 3)],  # left
-            ))
+    def right(r, c):
+        return 2 * vid(r, c)
+
+    def down(r, c):
+        return 2 * vid(r, c) + 1
+
+    edges, rotations, caps = [], [], []
+    for r in range(side):
+        for c in range(side):
+            edges += [(vid(r, c), vid(r, c + 1)), (vid(r, c), vid(r + 1, c))]
+            rotations.append((down(r - 1, c), right(r, c), down(r, c), right(r, c - 1)))
+            caps += [(1, 2) if c == side - 1 else (), (1, 3) if r == side - 1 else ()]
+    g = Graph(side * side, tuple(edges))
     torus = plain_scheme(g, rotations)
-    caps = []
-    for e, (u, v) in enumerate(g.edges):
-        kind = [k for k, eid in edge_id.items() if eid == e][0]
-        _dirn, r, c = kind
-        if _dirn == "h" and c == 2:
-            caps.append((1, 2))
-        elif _dirn == "v" and r == 2:
-            caps.append((1, 3))
-        else:
-            caps.append(())
     even = EmbeddingScheme(torus.rotations, tuple(caps), 3)
     return Fixture(
-        "torus-grid3x3", g, torus, alt_schemes={"even-crosscaps": even}, planar=False
+        f"torus-grid{side}x{side}", g, torus, alt_schemes={"even-crosscaps": even},
+        planar=False,
     )
+
+
+def torus_grid3x3() -> Fixture:
+    return torus_grid(3)
 
 
 def fixture_names() -> list[str]:

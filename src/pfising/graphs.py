@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gf2 import mask_rank
-
 CURVE_ENUM_MAX_BETTI = 24
 
 CurveMask = int
@@ -194,28 +192,27 @@ def fundamental_cycle_basis(g: Graph) -> CycleBasis:
     return CycleBasis(tuple(cycles), "fundamental")
 
 
-def enumerate_closed_curves(g: Graph) -> list[CurveMask]:
-    """All 2**beta1 closed curves, in Gray-code order over a fundamental basis.
+def cycle_span(basis) -> list[CurveMask]:
+    """Every GF(2) combination of the basis cycles, in Gray-code order.
 
     Successive curves differ by exactly one basis cycle.
     """
+    curves = [0]
+    current = 0
+    for k in range(1, 1 << len(basis)):
+        current ^= basis[(k & -k).bit_length() - 1]
+        curves.append(current)
+    return curves
+
+
+def enumerate_closed_curves(g: Graph) -> list[CurveMask]:
+    """All 2**beta1 closed curves: the span of a fundamental basis."""
     beta = first_betti(g)
     if beta > CURVE_ENUM_MAX_BETTI:
         raise GraphError(
             f"beta1 = {beta} exceeds the enumeration guard {CURVE_ENUM_MAX_BETTI}"
         )
-    basis = fundamental_cycle_basis(g).cycles
-    curves = [0]
-    current = 0
-    for k in range(1, 1 << beta):
-        bit = (k & -k).bit_length() - 1
-        current ^= basis[bit]
-        curves.append(current)
-    return curves
-
-
-def basis_is_independent(basis: CycleBasis, num_edges: int) -> bool:
-    return mask_rank(basis.cycles, num_edges) == len(basis.cycles)
+    return cycle_span(fundamental_cycle_basis(g).cycles)
 
 
 def cycle_sequence(g: Graph, mask: CurveMask) -> tuple[tuple[int, ...], tuple[int, ...]]:

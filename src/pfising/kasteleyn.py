@@ -16,6 +16,9 @@ for a scheme with n crosscaps; n = 0 is the real ring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress
+from operator import xor
 
 import numpy as np
 
@@ -30,7 +33,16 @@ from .darts import (
 )
 from .embeddings import EmbeddingScheme, SchemeError, trace_faces, face_boundary_basis
 from .gf2 import gf2_solve, masks_to_matrix
-from .graphs import CurveMask, CycleBasis, Graph, GraphError, cycle_sequence, enumerate_closed_curves
+from .graphs import (
+    CURVE_ENUM_MAX_BETTI,
+    CurveMask,
+    CycleBasis,
+    Graph,
+    GraphError,
+    cycle_sequence,
+    cycle_span,
+    fundamental_cycle_basis,
+)
 from .multicomplex import MulticomplexValue
 from .skewpf import (
     MULTICOMPLEX,
@@ -46,6 +58,7 @@ from .skewpf import (
 EDGE_EQ_TOL = 1e-9
 CALIBRATION_TOL = 1e-7
 CALIBRATION_SEED = 718281828
+CALIBRATION_SAMPLES = 16  # random span curves checked when the span is too big to sum
 CURVE_BLOCK = 4096  # curves per block of the calibration's curve-by-edge matrix
 
 # upper-triangular slots of a 4x4 site block, in (s, sbar, t, tbar, u, ubar) order
@@ -385,17 +398,17 @@ class IncidenceMatrix:
 
     entries[k] is the matrix entry at dart pair ``dart_graph.pairs[k]``: a
     real number when n_generators is 0, else its 2**n_generators
-    coefficients in C_n.  class_values maps a crossing-parity class to (real
-    coefficient, monomial subset mask): the common value of the curve
-    functional on that class.  lam is the constant with Re(lam * F) = 1 on
-    every class.
+    coefficients in C_n.  edge_masks[e] is the crosscap subset edge e of
+    ``graph`` crosses; a curve's crossing-parity class is the XOR of its
+    edges' masks.  class_values maps a class to (real coefficient, monomial
+    subset mask): the common value of the curve functional on that class.
+    lam is the constant with Re(lam * F) = 1 on every class.
     """
 
     graph: Graph
     dart_graph: DartGraph
     entries: np.ndarray
-    site: SiteAssignment
-    edge: EdgeAssignment
+    edge_masks: tuple[int, ...]
     reference_matching: PerfectMatching
     lam: object = None
     class_values: dict = field(default_factory=dict)
@@ -437,16 +450,16 @@ def _assemble(d: DartGraph, site: SiteAssignment, edge: EdgeAssignment,
 def build_incidence_matrix(
     g: Graph,
     scheme: EmbeddingScheme,
-    surviving_curves: list[CurveMask] | None = None,
+    curve_basis: list[CurveMask] | None = None,
     deleted_edges=(),
 ) -> IncidenceMatrix:
     """Run the three solvers over the face-boundary family and assemble.
 
     The entries lie in C_n for the scheme's n crosscaps (real when n = 0),
     and each edge entry carries prod i_k over its crosscap list.  With
-    crosscaps, the class table is read from the curve functional and checked
-    against weighted Pfaffians of the assembled matrix (restricted to
-    ``surviving_curves`` when the matrix will be used with link deletions).
+    crosscaps, the class table is calibrated over the span of
+    ``curve_basis`` (default: a fundamental basis of ``g``); a matrix used
+    with link deletions passes a basis of the curves avoiding them.
     """
     if not g.is_regular(4):
         raise GraphError("incidence construction needs a 4-regular graph")
@@ -467,13 +480,14 @@ def build_incidence_matrix(
         graph=g,
         dart_graph=d,
         entries=_assemble(d, site, edge, n_gen),
-        site=site,
-        edge=edge,
+        edge_masks=edge.masks,
         reference_matching=even_degree_matching(d),
         n_generators=n_gen,
     )
     if n_gen:
-        _calibrate_multicomplex(inc, scheme, surviving_curves, deleted_edges)
+        if curve_basis is None:
+            curve_basis = fundamental_cycle_basis(g).cycles
+        _calibrate(inc, curve_basis, deleted_edges)
     else:
         f0 = float(np.prod([site_block_pfaffian(site, v) for v in range(g.num_vertices)]))
         inc.class_values = {0: (f0, 0)}
@@ -522,106 +536,112 @@ def zero_site_entries_at(inc: IncidenceMatrix, edges) -> np.ndarray:
     return entries
 
 
-def _curve_blocks(curves, width):
-    """(offset, curve-by-edge 0/1 matrix) over blocks of CURVE_BLOCK curves."""
-    for start in range(0, len(curves), CURVE_BLOCK):
-        yield start, masks_to_matrix(curves[start:start + CURVE_BLOCK], width).astype(np.float64)
+def _calibrate(inc: IncidenceMatrix, basis, deleted_edges=()):
+    """Read the class table at one curve per class and build lam.
 
+    The crossing-parity class is GF(2)-linear on curves, so XOR-ing every
+    basis cycle into the representatives found so far reaches each class of
+    the span.  The value on class c is the curve functional F at its
+    representative and must be the single monomial c ^ sigma, where sigma is
+    the class of the reference matching's links (0 for a vertex-internal
+    reference).  When the matrix will be used with deleted edges, the
+    deletion-zeroed matrix is measured; the basis then spans the curves
+    avoiding them.
 
-def _calibrate_multicomplex(inc, scheme, surviving_curves, deleted_edges):
-    """Read the per-class functional values and build the constant lam.
-
-    Each class value is the curve functional F at the first surviving curve
-    of that class, and must be the single monomial its class predicts.  The
-    table is then checked exactly: for a batch of random weight draws every
-    coefficient of Pf(A(w)) must equal sum_cls F_cls * W_cls(w), where
-    W_cls(w) sums w(C) over the surviving curves C of the class.  When the
-    matrix will be used with deleted edges, the deletion-zeroed matrix is
-    measured so the Pfaffian sums over exactly the surviving curves.  Signs
-    are then normalized toward F = f0 * mu(class) by global sign flips of the
-    i_k-odd entries, and lam is assembled so that Re(lam * F) = 1 on every
-    class.
+    The table is then checked.  Up to CURVE_ENUM_MAX_BETTI basis cycles the
+    check is exact: for a batch of random weight draws every coefficient of
+    w(M0 & E) * Pf(A(w)) must equal sum_cls F_cls * W_cls(w), where W_cls(w)
+    sums w(C) over the span's curves of the class.  Above it, F at
+    CALIBRATION_SAMPLES random curves of the span must equal its class row.
+    Signs are then normalized and lam is assembled so that Re(lam * F) = 1
+    on every class.
     """
     g = inc.graph
     d = inc.dart_graph
+    m0 = inc.reference_matching
     n_gen = inc.n_generators
-    if surviving_curves is None:
-        surviving_curves = enumerate_closed_curves(g)
     measured = zero_link_entries(inc, deleted_edges)
-    crossing = masks_to_matrix(
-        [scheme.crosscap_parity_mask(e) for e in range(g.num_edges)], n_gen
-    )
-    place = 1 << np.arange(n_gen)
-    classes = np.concatenate([
-        (x @ crossing % 2 @ place).astype(np.uint8)  # n_gen <= MAX_GENERATORS = 8
-        for _start, x in _curve_blocks(surviving_curves, g.num_edges)
-    ])
-    class_masks = np.flatnonzero(np.bincount(classes, minlength=1 << n_gen)).tolist()
-    f_table = np.zeros((1 << n_gen, 1 << n_gen))  # row cm: F on class cm
-    class_values: dict[int, float] = {}
-    for cm in class_masks:
-        first = surviving_curves[int(np.argmax(classes == cm))]
-        vec = f_weight(measured, d, inc.reference_matching, first).coeffs
-        coeff = vec[cm]
-        off = np.max(np.abs(np.delete(vec, cm))) if vec.size > 1 else 0.0
+    ref_links = [e for e, pair in enumerate(d.link_edges) if pair in m0]
+    sigma = reduce(xor, (inc.edge_masks[e] for e in ref_links), 0)
+    basis_classes = [
+        reduce(xor, (m for e, m in enumerate(inc.edge_masks) if b >> e & 1), 0) for b in basis
+    ]
+    reps = {0: 0}
+    for b, cb in zip(basis, basis_classes):
+        for cls, curve in list(reps.items()):
+            reps.setdefault(cls ^ cb, curve ^ b)
+    f_table = np.zeros((1 << n_gen, 1 << n_gen))  # row c: F on class c
+    class_values = {}
+    for cls in sorted(reps):
+        vec = f_weight(measured, d, m0, reps[cls]).coeffs
+        mono = cls ^ sigma
+        coeff = vec[mono]
+        off = np.max(np.abs(np.delete(vec, mono)))
         if abs(coeff) < 1e-9 or off > CALIBRATION_TOL * max(1.0, abs(coeff)):
             raise SolveError(
                 "scheme/matrix invalid: class value is not the expected monomial"
             )
-        class_values[cm] = float(coeff)
-        f_table[cm] = vec
+        class_values[cls] = (float(coeff), mono)
+        f_table[cls] = vec
     rng = np.random.default_rng(CALIBRATION_SEED)
-    draws = rng.uniform(0.4, 1.6, size=(2 * len(class_masks) + 4, g.num_edges))
-    log_draws = np.log(draws).T
-    weight_sums = np.zeros((1 << n_gen, len(draws)))
-    for start, x in _curve_blocks(surviving_curves, g.num_edges):
-        np.add.at(weight_sums, classes[start:start + len(x)], np.exp(x @ log_draws))
-    pf_coeffs = np.array([
-        pfaffian(weighted_matrix(measured, d, inc.reference_matching, w)).coeffs
-        for w in draws
-    ])
-    scale = max(1.0, float(np.max(np.abs(pf_coeffs))))
-    if np.max(np.abs(weight_sums.T @ f_table - pf_coeffs)) > CALIBRATION_TOL * scale:
+    if len(basis) <= CURVE_ENUM_MAX_BETTI:
+        curves = cycle_span(basis)
+        classes = np.array(cycle_span(basis_classes), dtype=np.uint8)  # n_gen <= 8
+        draws = rng.uniform(0.4, 1.6, size=(2 * len(reps) + 4, g.num_edges))
+        log_draws = np.log(draws).T
+        weight_sums = np.zeros((1 << n_gen, len(draws)))
+        for start in range(0, len(curves), CURVE_BLOCK):
+            x = masks_to_matrix(curves[start:start + CURVE_BLOCK], g.num_edges).astype(np.float64)
+            np.add.at(weight_sums, classes[start:start + len(x)], np.exp(x @ log_draws))
+        pf_coeffs = np.array([
+            pfaffian(weighted_matrix(measured, d, m0, w)).coeffs * np.prod(w[ref_links])
+            for w in draws
+        ])
+        scale = max(1.0, float(np.max(np.abs(pf_coeffs))))
+        residual = np.max(np.abs(weight_sums.T @ f_table - pf_coeffs))
+        constant = residual <= CALIBRATION_TOL * scale
+    else:
+        constant = True
+        for pick in rng.integers(0, 2, size=(CALIBRATION_SAMPLES, len(basis))):
+            cls = reduce(xor, compress(basis_classes, pick), 0)
+            vec = f_weight(measured, d, m0, reduce(xor, compress(basis, pick), 0)).coeffs
+            tol = CALIBRATION_TOL * max(1.0, abs(f_table[cls, cls ^ sigma]))
+            if np.max(np.abs(vec - f_table[cls])) > tol:
+                constant = False
+                break
+    if not constant:
         raise SolveError(
             "scheme/matrix invalid: functional is not constant per class"
         )
-    _normalize_class_signs(inc, class_values, class_masks)
+    inc.class_values = _normalize_class_signs(inc, class_values)
     lam = MulticomplexValue.zero(n_gen)
-    for cm, coeff in class_values.items():
-        weight = (-1.0) ** int(cm).bit_count() / coeff
-        lam = lam + MulticomplexValue.monomial(n_gen, cm, weight)
-    inc.class_values = {cm: (coeff, cm) for cm, coeff in class_values.items()}
+    for coeff, mono in inc.class_values.values():
+        weight = (-1.0) ** int(mono).bit_count() / coeff
+        lam = lam + MulticomplexValue.monomial(n_gen, mono, weight)
     inc.lam = lam
 
 
-def _normalize_class_signs(inc, class_values, class_masks):
-    """Flip i_k-odd entries so every class value has the sign of f0.
+def _normalize_class_signs(inc, class_values) -> dict:
+    """Apply i_k -> -i_k so every class value has one sign; the new table.
 
-    A flip of generator k negates the value on classes with that parity bit
-    set; the achievable sign patterns form the span of the parity bits over
-    the observed classes, so the repair solves a small GF(2) system.  When
-    the system is inconsistent the raw signs are kept (lam absorbs them).
+    The automorphism for the generator subset x negates the coefficients at
+    monomials m with |m & x| odd, so it flips class c relative to class 0
+    exactly when |c & x| is odd: the repair solves a small GF(2) system over
+    the class masks.  When the system is inconsistent the raw signs are kept
+    (lam absorbs them).
     """
-    f0_sign = 1.0 if class_values[0] > 0 else -1.0
-    defects = np.array(
-        [0 if class_values[cm] * f0_sign > 0 else 1 for cm in class_masks],
-        dtype=np.uint8,
-    )
+    classes = sorted(class_values)
+    f0 = class_values[0][0]
+    defects = np.array([class_values[c][0] * f0 < 0 for c in classes], dtype=np.uint8)
     if not defects.any():
-        return
+        return class_values
     n_gen = inc.n_generators
-    rows = masks_to_matrix(class_masks, n_gen)
-    x = gf2_solve(rows, defects)
+    x = gf2_solve(masks_to_matrix(classes, n_gen), defects)
     if x is None or not x.any():
-        return
-    # flipping generator k requires every basis face to cross it evenly,
-    # which holds because face boundaries have trivial crossing parity
-    sign = np.where(masks_to_matrix(inc.edge.masks, n_gen) @ x % 2, -1.0, 1.0)
-    inc.edge = EdgeAssignment(inc.edge.coeffs * sign, inc.edge.masks)
-    inc.entries[len(inc.dart_graph.site_edges):] *= sign[:, None]
-    for cm, flipped in zip(class_masks, rows @ x % 2):
-        if flipped:
-            class_values[cm] = -class_values[cm]
+        return class_values
+    sign = np.where(masks_to_matrix(range(1 << n_gen), n_gen) @ x % 2, -1.0, 1.0)
+    inc.entries *= sign
+    return {c: (float(coeff * sign[mono]), mono) for c, (coeff, mono) in class_values.items()}
 
 
 def reduce_to_minor(
@@ -635,7 +655,8 @@ def reduce_to_minor(
     them drop out; the derived matrix on the remaining darts is an incidence
     matrix on the minor's dart graph, reindexed to its dart order.  The
     functional constants transfer as lam1 = sign * Pf(A_K)**(n-p-1) * lam2
-    in the real ring; multicomplex class tables are re-measured on the minor.
+    in the real ring; multicomplex class tables are calibrated on the minor,
+    whose edges keep the crossing masks of the host edges they come from.
     """
     g2 = inc.graph
     d2 = inc.dart_graph
@@ -663,12 +684,14 @@ def reduce_to_minor(
     perm = np.argsort(np.array(target))
     a1 = SkewMatrix(inc.ring, reduced.data[perm][:, perm], inc.n_generators)
     _check_zero_pattern(a1, d1)
+    edge_masks = [0] * g1.num_edges
+    for e2, e1 in t.edge_map.items():
+        edge_masks[e1] = inc.edge_masks[e2]
     out = IncidenceMatrix(
         graph=g1,
         dart_graph=d1,
         entries=a1.data[d1.pairs[:, 0], d1.pairs[:, 1]],
-        site=inc.site,
-        edge=inc.edge,
+        edge_masks=tuple(edge_masks),
         reference_matching=canonical_matching(d1),
         n_generators=inc.n_generators,
     )
@@ -679,50 +702,8 @@ def reduce_to_minor(
         out.lam = lam1
         out.class_values = {0: (lam1, 0)}
     else:
-        calibrate_from_curves(out)
+        _calibrate(out, fundamental_cycle_basis(g1).cycles)
     return out
-
-
-def calibrate_from_curves(inc: IncidenceMatrix, curves=None):
-    """Recover the class table of a small incidence matrix by enumeration.
-
-    Evaluates the curve functional directly (factorized matching sums) for
-    every closed curve, groups equal values and rebuilds lam.
-    """
-    g = inc.graph
-    if curves is None:
-        curves = enumerate_closed_curves(g)
-    a = inc.skew
-    table: dict[int, float] = {}
-    for c in curves:
-        value = f_weight(a, inc.dart_graph, inc.reference_matching, c)
-        if inc.ring == MULTICOMPLEX:
-            vec = value.coeffs
-            mask = int(np.argmax(np.abs(vec)))
-            coeff = float(vec[mask])
-            off = np.max(np.abs(np.delete(vec, mask))) if vec.size > 1 else 0.0
-            if abs(coeff) < 1e-10 or off > CALIBRATION_TOL * abs(coeff):
-                raise SolveError("curve functional is not a single monomial")
-        else:
-            mask = 0
-            coeff = float(value)
-            if abs(coeff) < 1e-12:
-                raise SolveError("curve functional vanishes")
-        if mask in table:
-            if abs(table[mask] - coeff) > CALIBRATION_TOL * max(1.0, abs(coeff)):
-                raise SolveError("curve functional is not constant per class")
-        else:
-            table[mask] = coeff
-    if inc.ring == MULTICOMPLEX:
-        lam = MulticomplexValue.zero(inc.n_generators)
-        for mask, coeff in table.items():
-            lam = lam + MulticomplexValue.monomial(
-                inc.n_generators, mask, (-1.0) ** int(mask).bit_count() / coeff
-            )
-    else:
-        lam = table[0]
-    inc.class_values = {mask: (coeff, mask) for mask, coeff in table.items()}
-    inc.lam = lam
 
 
 # ---------------------------------------------------------------------------

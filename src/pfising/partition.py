@@ -27,7 +27,7 @@ import numpy as np
 
 from .darts import f_weight
 from .embeddings import EmbeddingScheme, SchemeError, resolve_planar_scheme, trace_faces
-from .graphs import Graph, GraphError, enumerate_closed_curves
+from .graphs import Graph, GraphError, enumerate_closed_curves, fundamental_cycle_basis
 from .kasteleyn import (
     IncidenceMatrix,
     build_incidence_matrix,
@@ -127,13 +127,11 @@ class NonplanarSolver:
         g2, s2, self.transform = build_host(g, scheme)
         self.host = g2
         self.host_scheme = s2
-        curves = enumerate_closed_curves(g)
-        if self.transform.is_identity:
-            surviving = curves
-        else:
-            surviving = [curve_preimage(g2, self.transform, c) for c in curves]
+        basis = [
+            curve_preimage(g2, self.transform, c) for c in fundamental_cycle_basis(g).cycles
+        ]
         self.inc = build_incidence_matrix(
-            g2, s2, surviving_curves=surviving, deleted_edges=self.transform.deleted
+            g2, s2, curve_basis=basis, deleted_edges=self.transform.deleted
         )
         self.zeroed = zero_link_entries(self.inc, self.transform.deleted)
         self._lam_images = self.inc.lam.coeffs @ half_character_table(self.n_generators)
@@ -155,8 +153,7 @@ class NonplanarSolver:
         return self._character_sum(w)
 
     def evaluate_real_sum(self, w: WeightFunction) -> float:
-        masks = self.inc.edge.masks
-        if any(int(m).bit_count() % 2 for m in masks):
+        if any(int(m).bit_count() % 2 for m in self.inc.edge_masks):
             raise SchemeError(
                 "scheme not orientable-derived; use complex sum"
             )

@@ -159,8 +159,8 @@ def test_pfaffian_expands_as_weighted_curve_sum():
 def test_f_weight_site_block_identity():
     # with the vertex-internal reference matching, F(empty) is the product of
     # the per-vertex site-block Pfaffians
-    from pfising.kasteleyn import site_block_pfaffian
-    from pfising.embeddings import resolve_planar_scheme
+    from pfising.kasteleyn import site_block_pfaffian, solve_site_equations
+    from pfising.embeddings import face_boundary_basis, resolve_planar_scheme
     from pfising.minors import four_regularize, subdivide_to_cycle_faces
     from pfising.kasteleyn import build_incidence_matrix
 
@@ -169,8 +169,9 @@ def test_f_weight_site_block_identity():
     g1, s1, _ = four_regularize(fx.graph, s0)
     g2, s2, _ = subdivide_to_cycle_faces(g1, s1)
     inc = build_incidence_matrix(g2, s2)
+    site = solve_site_equations(g2, face_boundary_basis(g2, s2), s2)
     expected = float(
-        np.prod([site_block_pfaffian(inc.site, v) for v in range(g2.num_vertices)])
+        np.prod([site_block_pfaffian(site, v) for v in range(g2.num_vertices)])
     )
     value = f_weight(inc.skew, inc.dart_graph, inc.reference_matching, 0)
     assert value == pytest.approx(expected, rel=1e-12)

@@ -3,7 +3,7 @@ import pytest
 
 from pfising.darts import build_dart_graph, canonical_matching, f_weight
 from pfising.embeddings import face_boundary_basis, resolve_planar_scheme
-from pfising.fixtures import get_fixture, minor_pair
+from pfising.fixtures import get_fixture, minor_pair, torus_grid
 from pfising.graphs import enumerate_closed_curves
 from pfising.kasteleyn import (
     K5_CYCLES,
@@ -156,6 +156,9 @@ def test_incidence_entries_on_dart_pattern(name, scheme_key, width):
         scheme = resolve_planar_scheme(fx.graph, scheme)
     g2, s2, _t = build_host(fx.graph, scheme)
     inc = build_incidence_matrix(g2, s2)
+    basis = face_boundary_basis(g2, s2)
+    site = solve_site_equations(g2, basis, s2)
+    edge = solve_cycle_equations(g2, site, solve_edge_equations(g2, site, basis, s2), basis)
     d = inc.dart_graph
     assert inc.entries.shape == ((len(d.pairs),) if width is None else (len(d.pairs), width))
     data = inc.skew.data
@@ -170,9 +173,17 @@ def test_incidence_entries_on_dart_pattern(name, scheme_key, width):
         ids = d.vertex_dart_ids(v)
         for a in range(4):
             for b in range(a + 1, 4):
-                assert np.ravel(data[ids[a], ids[b]])[0] == inc.site.entry(v, a, b)
-    for e, (i, j) in enumerate(d.link_edges):
-        assert np.ravel(data[i, j])[inc.edge.masks[e]] == inc.edge.coeffs[e]
+                assert np.ravel(data[ids[a], ids[b]])[0] == site.entry(v, a, b)
+    # link entries are the solved edge coefficients under the generator flip
+    # i_k -> -i_k (k in x) that the class-sign normalization applied
+    assert any(
+        all(
+            np.ravel(data[i, j])[edge.masks[e]]
+            == (-1) ** (edge.masks[e] & x).bit_count() * edge.coeffs[e]
+            for e, (i, j) in enumerate(d.link_edges)
+        )
+        for x in range(width or 1)
+    )
 
 
 def test_functional_constant_on_planar_fixtures():
@@ -207,6 +218,7 @@ def test_nonplanar_class_structure():
 @pytest.mark.parametrize("name, scheme_key", [
     ("k5-projective", None),
     ("torus-grid3x3", "even-crosscaps"),
+    ("torus-grid5x5", "even-crosscaps"),  # beta1 = 26: the sampled check
 ])
 def test_calibration_rejects_nonconstant_functional(monkeypatch, name, scheme_key):
     # doubling one link entry leaves every curve value a monomial but makes
@@ -222,10 +234,61 @@ def test_calibration_rejects_nonconstant_functional(monkeypatch, name, scheme_ke
         return entries
 
     monkeypatch.setattr(kasteleyn, "_assemble", doubled)
-    fx = get_fixture(name)
+    fx = torus_grid(5) if name == "torus-grid5x5" else get_fixture(name)
     g2, s2, _t = build_host(fx.graph, fx.alt_schemes[scheme_key] if scheme_key else fx.scheme)
     with pytest.raises(SolveError, match="functional is not constant per class"):
         build_incidence_matrix(g2, s2)
+
+
+@pytest.mark.parametrize("name, scheme_key", [
+    pytest.param("k5-projective", None, id="k5-projective"),
+    pytest.param("k33-projective", None, id="k33-projective"),
+    pytest.param("torus-grid3x3", "even-crosscaps", id="torus-grid3x3-even"),
+])
+def test_sampled_calibration_matches_exact(monkeypatch, name, scheme_key):
+    # with the guard at 0 the build checks sampled curves instead of summing
+    # the span against weighted Pfaffians, and must find the same table
+    from pfising import kasteleyn
+    from pfising.partition import NonplanarSolver
+
+    fx = get_fixture(name)
+    scheme = fx.alt_schemes[scheme_key] if scheme_key else fx.scheme
+    exact = NonplanarSolver(fx.graph, scheme)
+    calls = []
+    weighted = kasteleyn.weighted_matrix
+    monkeypatch.setattr(kasteleyn, "weighted_matrix", lambda *a: calls.append(a) or weighted(*a))
+    monkeypatch.setattr(kasteleyn, "CURVE_ENUM_MAX_BETTI", 0)
+    sampled = NonplanarSolver(fx.graph, scheme)
+    assert not calls
+    assert sampled.class_table == exact.class_table
+    assert np.array_equal(sampled.inc.lam.coeffs, exact.inc.lam.coeffs)
+
+
+@pytest.mark.parametrize("name", ["k33-projective", "hex-patch"])
+def test_reduced_minor_has_its_own_edge_masks(name):
+    # the minor carries one crossing mask per minor edge, no host assignments,
+    # and its class table holds on every minor curve
+    from pfising.partition import NonplanarSolver
+    from pfising.verify import reduced_minor
+
+    if name == "hex-patch":
+        inc, _tm = reduced_minor(name)
+    else:
+        fx = get_fixture(name)
+        solver = NonplanarSolver(fx.graph, fx.scheme)
+        inc = reduce_to_minor(solver.inc, solver.transform, fx.graph)
+    g = inc.graph
+    assert len(inc.edge_masks) == g.num_edges
+    assert not hasattr(inc, "site") and not hasattr(inc, "edge")
+    for c in enumerate_closed_curves(g):
+        cls = 0
+        for e in g.curve_edges(c):
+            cls ^= inc.edge_masks[e]
+        coeff, mono = inc.class_values[cls]
+        expected = np.zeros(1 << inc.n_generators)
+        expected[mono] = coeff
+        value = f_weight(inc.skew, inc.dart_graph, inc.reference_matching, c)
+        assert np.ravel(getattr(value, "coeffs", value)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_weighted_matrix_branches():

@@ -3,8 +3,8 @@ import pytest
 
 from pfising import skewpf
 from pfising.embeddings import SchemeError
-from pfising.fixtures import get_fixture
-from pfising.graphs import Graph, GraphError
+from pfising.fixtures import get_fixture, torus_grid
+from pfising.graphs import CURVE_ENUM_MAX_BETTI, Graph, GraphError, first_betti
 from pfising.partition import (
     IsingModel,
     NonplanarSolver,
@@ -214,3 +214,39 @@ def test_ising_model_validation():
         IsingModel(g, np.array([1.0, -1.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
         IsingModel(g, np.ones(3), 0.0)
+
+
+def _torus_curve_sum(side, w):
+    """Z_G(w) on the side x side torus grid by a row transfer matrix, from
+    2**|V| Z_G(w) = sum over spins s of prod_e (1 + w_e s_u s_v)."""
+    wh = w[0::2].reshape(side, side)  # edge 2 * (side * r + c) runs right
+    wv = w[1::2].reshape(side, side)  # edge 2 * (side * r + c) + 1 runs down
+    spins = 1 - 2 * ((np.arange(1 << side)[:, None] >> np.arange(side)) & 1)
+    total = np.eye(1 << side)
+    for r in range(side):
+        across = np.prod(1 + wh[r] * spins * np.roll(spins, -1, axis=1), axis=1)
+        down = np.prod(1 + wv[r] * spins[:, None, :] * spins[None, :, :], axis=2)
+        total = total @ (across[:, None] * down)
+    return float(np.trace(total)) / 2.0 ** (side * side)
+
+
+def test_torus_curve_sum_matches_bruteforce():
+    g = torus_grid(3).graph
+    w = np.random.default_rng(3).uniform(0.1, 1.0, g.num_edges)
+    assert _torus_curve_sum(3, w) == pytest.approx(z_bruteforce(g, WeightFunction(w)), rel=1e-12)
+
+
+@pytest.mark.parametrize("side", [5, 6])
+def test_torus_beyond_enumeration(side):
+    fx = torus_grid(side)
+    g = fx.graph
+    assert first_betti(g) > CURVE_ENUM_MAX_BETTI
+    solver = NonplanarSolver(g, fx.alt_schemes["even-crosscaps"])
+    rng = np.random.default_rng(side)
+    for _ in range(3):
+        w = rng.uniform(0.1, 1.0, g.num_edges)
+        exact = _torus_curve_sum(side, w)
+        weights = WeightFunction(w)
+        for route in (solver.evaluate_multicomplex, solver.evaluate_complex_sum,
+                      solver.evaluate_real_sum):
+            assert route(weights) == pytest.approx(exact, rel=1e-9)
