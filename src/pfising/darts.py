@@ -10,14 +10,14 @@ ordered list E(v)), and perfect matchings are stored as frozensets of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 
 import numpy as np
 
 from .graphs import CurveMask, Graph, GraphError
 from .multicomplex import MulticomplexValue
-from .skewpf import MULTICOMPLEX, SkewMatrix, matching_sign, pfaffian, submatrix
+from .skewpf import MULTICOMPLEX, SkewMatrix, entry_ring, matching_sign, pfaffian, skew_from_pairs
 
 MATCHING_ENUM_MAX_DARTS = 24
 
@@ -78,6 +78,11 @@ class DartGraph:
         return out
 
     @cached_property
+    def pair_row(self) -> dict[tuple[int, int], int]:
+        """Row of each dart pair (lower, higher) in ``pairs``."""
+        return {pair: k for k, pair in enumerate(self.site_edges + self.link_edges)}
+
+    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         adj = [set() for _ in range(self.num_darts)]
         for a, b in self.site_edges + self.link_edges:
@@ -116,10 +121,9 @@ def even_degree_matching(d: DartGraph) -> PerfectMatching:
 
 def is_perfect_matching(d: DartGraph, m: PerfectMatching) -> bool:
     covered = set()
-    alledges = set(d.site_edges) | set(d.link_edges)
     for pair in m:
         a, b = min(pair), max(pair)
-        if (a, b) not in alledges or a in covered or b in covered:
+        if (a, b) not in d.pair_row or a in covered or b in covered:
             return False
         covered.update((a, b))
     return len(covered) == d.num_darts
@@ -179,47 +183,50 @@ def _forced_link_pairs(d: DartGraph, m0: PerfectMatching, curve: CurveMask):
     return forced
 
 
-def f_weight(a: SkewMatrix, d: DartGraph, m0: PerfectMatching, curve: CurveMask):
+def f_weight(entries: np.ndarray, d: DartGraph, m0: PerfectMatching, curve: CurveMask):
     """Signed sum of entry products over the matchings mapped to ``curve``.
 
-    Every preimage matching is the forced link pairs plus one perfect
-    matching of each vertex's free darts, so the sum factorizes:
+    ``entries`` is laid out like ``IncidenceMatrix.entries``.  Every preimage
+    matching is the forced link pairs plus one perfect matching of each
+    vertex's free darts, so the sum factorizes:
     F = sign(reference) * prod(forced link entries) * prod_v Pf(A[free_v]),
     where the reference matching pairs each vertex's free darts in index
     order.  Re-pairing the darts of one vertex multiplies the sign by the
     sign of that local matching, which is what Pf(A[free_v]) sums over.
     """
-    if a.order != d.num_darts:
-        raise GraphError("matrix order does not match the dart count")
-    _check_zero_pattern(a, d)
+    if len(entries) != len(d.pairs):
+        raise GraphError("entry array does not match the dart pattern")
+    ring, n = entry_ring(entries)
+    lift = partial(MulticomplexValue, n) if ring == MULTICOMPLEX else (lambda x: x)
     forced = _forced_link_pairs(d, m0, curve)
     covered = {i for pair in forced for i in pair}
     free_sets = []
     for v in range(d.graph.num_vertices):
         free = [i for i in d.vertex_dart_ids(v) if i not in covered]
         if len(free) % 2:
-            return _ring_one(a) * 0.0
+            return 0.0 * lift(entries[0])  # no preimage: zero in the entries' ring
         free_sets.append(free)
     reference = forced + [
         (free[k], free[k + 1]) for free in free_sets for k in range(0, len(free), 2)
     ]
-    value = _ring_one(a) * matching_sign(reference, range(d.num_darts))
-    for i, j in forced:
-        value = value * a.entry(i, j)
+    value = matching_sign(reference, range(d.num_darts))
+    for pair in forced:
+        value = value * lift(entries[d.pair_row[pair]])
     for free in free_sets:
         if free:
-            value = value * pfaffian(submatrix(a, free))
+            rows = [d.pair_row[pair] for pair in combinations(free, 2)]
+            local = list(combinations(range(len(free)), 2))
+            value = value * pfaffian(skew_from_pairs(ring, len(free), local, entries[rows], n))
     return value
 
 
-def _ring_one(a: SkewMatrix):
-    if a.ring == MULTICOMPLEX:
-        return MulticomplexValue.from_real(a.n_generators, 1.0)
-    return 1.0 if a.ring == "real" else 1.0 + 0.0j
-
-
-def _check_zero_pattern(a: SkewMatrix, d: DartGraph):
+def pattern_entries(a: SkewMatrix, d: DartGraph) -> np.ndarray:
+    """Entries of a dense matrix at ``d.pairs``, laid out like
+    ``IncidenceMatrix.entries``, once it is checked to vanish off the dart
+    pattern (to 1e-12 of its largest entry)."""
     n = a.order
+    if n != d.num_darts:
+        raise GraphError("matrix order does not match the dart count")
     allowed = np.zeros((n, n), dtype=bool)
     allowed[d.pairs[:, 0], d.pairs[:, 1]] = True
     size = np.abs(a.data).reshape(n, n, -1).max(axis=2)
@@ -228,3 +235,4 @@ def _check_zero_pattern(a: SkewMatrix, d: DartGraph):
     if bad.size:
         i, j = map(int, bad[0])
         raise GraphError(f"nonzero entry outside the dart-graph pattern at {(i, j)}")
+    return a.data[d.pairs[:, 0], d.pairs[:, 1]]

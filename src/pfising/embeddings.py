@@ -117,9 +117,6 @@ class FaceWalk:
             mask ^= 1 << e  # doubled edges cancel mod 2
         return mask
 
-    def sense_at(self, position: int) -> int:
-        return self.steps[position][2]
-
 
 @dataclass(frozen=True)
 class FaceReport:

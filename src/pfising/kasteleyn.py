@@ -25,11 +25,11 @@ import numpy as np
 from .darts import (
     DartGraph,
     PerfectMatching,
-    _check_zero_pattern,
     build_dart_graph,
     canonical_matching,
     even_degree_matching,
     f_weight,
+    pattern_entries,
 )
 from .embeddings import EmbeddingScheme, SchemeError, trace_faces, face_boundary_basis
 from .gf2 import gf2_solve, masks_to_matrix
@@ -49,6 +49,7 @@ from .skewpf import (
     REAL,
     SkewMatrix,
     derived_matrix,
+    entry_ring,
     permutation_sign,
     pfaffian,
     skew_from_pairs,
@@ -421,12 +422,8 @@ class IncidenceMatrix:
     @property
     def skew(self) -> SkewMatrix:
         """The dense matrix, scattered from ``entries`` on every access."""
-        return self.dense(self.entries)
-
-    def dense(self, entries) -> SkewMatrix:
-        """Dense matrix of an entry array laid out like ``entries``."""
         d = self.dart_graph
-        return skew_from_pairs(self.ring, d.num_darts, d.pairs, entries, self.n_generators)
+        return skew_from_pairs(self.ring, d.num_darts, d.pairs, self.entries, self.n_generators)
 
 
 def site_block_pfaffian(site: SiteAssignment, v: int) -> float:
@@ -496,33 +493,29 @@ def build_incidence_matrix(
 
 
 def weighted_matrix(
-    a: SkewMatrix,
+    entries: np.ndarray,
     d: DartGraph,
     m0: PerfectMatching,
     weights,
 ) -> SkewMatrix:
-    """Scale link entries by w (outside m0) or 1/w (inside m0); the result
-    is supported on the dart pattern."""
+    """Dense matrix of ``entries`` (laid out like ``IncidenceMatrix.entries``)
+    with each link entry scaled by w (outside m0) or 1/w (inside m0)."""
     w = np.asarray(weights, dtype=np.float64)
-    if np.any(w <= 0):
-        raise ValueError("weights must be strictly positive")
-    mate = np.full(d.num_darts, -1, dtype=np.intp)
-    matched = np.array(list(m0), dtype=np.intp).reshape(-1, 2)
-    mate[matched[:, 0]] = matched[:, 1]
-    mate[matched[:, 1]] = matched[:, 0]
-    links = d.pairs[len(d.site_edges):]
-    factor = np.where(mate[links[:, 0]] == links[:, 1], 1.0 / w, w)
-    entries = a.data[d.pairs[:, 0], d.pairs[:, 1]]
-    entries[len(d.site_edges):] *= factor.reshape((-1,) + (1,) * (entries.ndim - 1))
-    return skew_from_pairs(a.ring, a.order, d.pairs, entries, a.n_generators)
+    if not np.all(np.isfinite(w)) or np.any(w <= 0):
+        raise ValueError("weights must be finite and strictly positive")
+    factor = np.where([pair in m0 for pair in d.link_edges], 1.0 / w, w)
+    scaled = entries.copy()
+    scaled[len(d.site_edges):] *= factor.reshape((-1,) + (1,) * (entries.ndim - 1))
+    ring, n_gen = entry_ring(entries)
+    return skew_from_pairs(ring, d.num_darts, d.pairs, scaled, n_gen)
 
 
-def zero_link_entries(inc: IncidenceMatrix, edges) -> SkewMatrix:
-    """Dense matrix with the link entries of the given edges killed
+def zero_link_entries(inc: IncidenceMatrix, edges) -> np.ndarray:
+    """Entries with the link entries of the given edges killed
     (deletion under an empty-intersection reference matching)."""
     entries = inc.entries.copy()
     entries[len(inc.dart_graph.site_edges) + np.fromiter(edges, dtype=np.intp)] = 0.0
-    return inc.dense(entries)
+    return entries
 
 
 def zero_site_entries_at(inc: IncidenceMatrix, edges) -> np.ndarray:
@@ -545,7 +538,7 @@ def _calibrate(inc: IncidenceMatrix, basis, deleted_edges=()):
     representative and must be the single monomial c ^ sigma, where sigma is
     the class of the reference matching's links (0 for a vertex-internal
     reference).  When the matrix will be used with deleted edges, the
-    deletion-zeroed matrix is measured; the basis then spans the curves
+    deletion-zeroed entries are measured; the basis then spans the curves
     avoiding them.
 
     The table is then checked.  Up to CURVE_ENUM_MAX_BETTI basis cycles the
@@ -660,7 +653,8 @@ def reduce_to_minor(
     """
     g2 = inc.graph
     d2 = inc.dart_graph
-    checked = inc.dense(zero_site_entries_at(inc, t.deleted))
+    kept = zero_site_entries_at(inc, t.deleted)
+    checked = skew_from_pairs(inc.ring, d2.num_darts, d2.pairs, kept, inc.n_generators)
     k_indices = sorted(
         i
         for e in (set(t.deleted) | set(t.contracted))
@@ -683,14 +677,13 @@ def reduce_to_minor(
         target.append(d1.dart_index[dart1])
     perm = np.argsort(np.array(target))
     a1 = SkewMatrix(inc.ring, reduced.data[perm][:, perm], inc.n_generators)
-    _check_zero_pattern(a1, d1)
     edge_masks = [0] * g1.num_edges
     for e2, e1 in t.edge_map.items():
         edge_masks[e1] = inc.edge_masks[e2]
     out = IncidenceMatrix(
         graph=g1,
         dart_graph=d1,
-        entries=a1.data[d1.pairs[:, 0], d1.pairs[:, 1]],
+        entries=pattern_entries(a1, d1),
         edge_masks=tuple(edge_masks),
         reference_matching=canonical_matching(d1),
         n_generators=inc.n_generators,
@@ -764,12 +757,10 @@ def obstruction_check(which: str, a: SkewMatrix, d: DartGraph | None = None) -> 
     g = fixture.graph
     if d is None or d.graph.edges != g.edges:
         d = build_dart_graph(g)
-    if a.order != d.num_darts:
-        raise GraphError("matrix has the wrong dart pattern")
-    _check_zero_pattern(a, d)
+    entries = pattern_entries(a, d)
     m0 = canonical_matching(d)
-    values = [f_weight(a, d, m0, _edges_to_mask(cyc)) for cyc in fam]
-    values_prime = [f_weight(a, d, m0, _edges_to_mask(cyc)) for cyc in fam_prime]
+    values = [f_weight(entries, d, m0, _edges_to_mask(cyc)) for cyc in fam]
+    values_prime = [f_weight(entries, d, m0, _edges_to_mask(cyc)) for cyc in fam_prime]
     lhs = float(np.prod(values))
     rhs = float(np.prod(values_prime))
     scale = max(abs(lhs), abs(rhs))

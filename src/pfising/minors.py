@@ -129,9 +129,9 @@ def apply_minor(g2: Graph, t: MinorTransform) -> Graph:
     for e in t.deleted | t.contracted:
         if not 0 <= e < g2.num_edges:
             raise GraphError(f"transform references missing edge {e}")
-    roots = _contraction_components(g2, t.contracted)
     if not t.edge_map and not t.vertex_map:
         return complete_transform(g2, t.deleted, t.contracted)[0]
+    roots = _contraction_components(g2, t.contracted)
     # transform carries its own labeling: rebuild and verify
     num_v = max(t.vertex_map.values()) + 1 if t.vertex_map else 0
     edges: dict[int, tuple[int, int]] = {}
@@ -375,9 +375,6 @@ class _SurfaceBuilder:
     def signature(self, e: int) -> int:
         return -1 if len(self.caps[e]) % 2 else 1
 
-    def incident_edges(self, v: int) -> list[int]:
-        return list(self.rot[v])
-
     # -- elementary operations ----------------------------------------------
     def new_vertex(self) -> int:
         self.nv += 1
@@ -409,12 +406,7 @@ class _SurfaceBuilder:
         w = self.new_vertex()
         self.edges[e] = (a, w)
         new_id = self.new_edge(w, b, CONTRACT)
-        if kind == DELETE:
-            # keep the deletable half on id e; the new half contracts w away
-            pass
-        elif kind == CONTRACT:
-            pass
-        else:
+        if kind == KEEP:
             self.anchor[e] = a
         # rotations: id e keeps its slot at a; b sees the new id in e's slot
         self.rot[b][self.rot[b].index(e)] = new_id

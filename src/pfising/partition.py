@@ -49,8 +49,8 @@ class WeightFunction:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if np.any(v <= 0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all(np.isfinite(v)) or np.any(v <= 0):
+            raise ValueError("weights must be finite and strictly positive")
         object.__setattr__(self, "values", v)
 
     @staticmethod
@@ -76,10 +76,10 @@ class IsingModel:
         j = np.asarray(self.couplings, dtype=np.float64)
         if j.shape != (self.graph.num_edges,):
             raise ValueError("one coupling per edge required")
-        if np.any(j < 0):
-            raise ValueError("ferromagnetic couplings must be nonnegative")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not np.all(np.isfinite(j)) or np.any(j < 0):
+            raise ValueError("ferromagnetic couplings must be finite and nonnegative")
+        if not (np.isfinite(self.beta) and self.beta > 0):
+            raise ValueError("beta must be finite and positive")
         object.__setattr__(self, "couplings", j)
 
 
@@ -106,12 +106,12 @@ class PlanarPfaffianSolver:
         self.graph = g
         self.host, s2, self.transform = build_host(g, resolve_planar_scheme(g, scheme))
         self.inc = build_incidence_matrix(self.host, s2)
-        self.zeroed = zero_link_entries(self.inc, self.transform.deleted)
+        self.entries = zero_link_entries(self.inc, self.transform.deleted)
 
     def evaluate(self, w: WeightFunction) -> float:
         wt = transported_weights(self.transform, w.values, self.host.num_edges)
         aw = weighted_matrix(
-            self.zeroed, self.inc.dart_graph, self.inc.reference_matching, wt
+            self.entries, self.inc.dart_graph, self.inc.reference_matching, wt
         )
         return float(pfaffian(aw)) / self.inc.lam
 
@@ -133,7 +133,7 @@ class NonplanarSolver:
         self.inc = build_incidence_matrix(
             g2, s2, curve_basis=basis, deleted_edges=self.transform.deleted
         )
-        self.zeroed = zero_link_entries(self.inc, self.transform.deleted)
+        self.entries = zero_link_entries(self.inc, self.transform.deleted)
         self._lam_images = self.inc.lam.coeffs @ half_character_table(self.n_generators)
 
     @property
@@ -143,7 +143,7 @@ class NonplanarSolver:
     def _weighted(self, w: WeightFunction) -> SkewMatrix:
         wt = transported_weights(self.transform, w.values, self.host.num_edges)
         return weighted_matrix(
-            self.zeroed, self.inc.dart_graph, self.inc.reference_matching, wt
+            self.entries, self.inc.dart_graph, self.inc.reference_matching, wt
         )
 
     def evaluate_multicomplex(self, w: WeightFunction) -> float:
@@ -200,7 +200,14 @@ def ising_weights(m: IsingModel) -> WeightFunction:
 
 
 def ising_prefactor(m: IsingModel) -> float:
-    return float(2.0 ** m.graph.num_vertices * np.prod(np.cosh(m.beta * m.couplings)))
+    """2**|V| prod cosh(beta J_e), exponentiated from its log; OverflowError
+    when it does not fit in a float64."""
+    x = m.beta * m.couplings
+    log_cosh = np.logaddexp(x, -x) - np.log(2.0)
+    log_value = float(m.graph.num_vertices * np.log(2.0) + np.sum(log_cosh))
+    if log_value > np.log(np.finfo(np.float64).max):
+        raise OverflowError(f"Ising prefactor overflows a float64: its log is {log_value!r}")
+    return float(np.exp(log_value))
 
 
 ROUTES = {
@@ -258,5 +265,5 @@ def curve_functional_table(inc: IncidenceMatrix, curves=None) -> list:
     g = inc.graph
     if curves is None:
         curves = enumerate_closed_curves(g)
-    a = inc.skew
-    return [(c, f_weight(a, inc.dart_graph, inc.reference_matching, c)) for c in curves]
+    d, m0 = inc.dart_graph, inc.reference_matching
+    return [(c, f_weight(inc.entries, d, m0, c)) for c in curves]

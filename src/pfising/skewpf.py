@@ -71,11 +71,6 @@ class SkewMatrix:
     def order(self) -> int:
         return self.data.shape[0]
 
-    def entry(self, i: int, j: int):
-        if self.ring == MULTICOMPLEX:
-            return MulticomplexValue(self.n_generators, self.data[i, j].copy())
-        return self.data[i, j]
-
     def scale_abs(self) -> float:
         return float(np.max(np.abs(self.data))) if self.data.size else 0.0
 
@@ -101,6 +96,14 @@ def skew_from_pairs(ring: str, order: int, pairs, values, n_generators: int = 0)
     data[pairs[:, 0], pairs[:, 1]] = values
     data[pairs[:, 1], pairs[:, 0]] = -values
     return SkewMatrix(ring, data, n_generators)
+
+
+def entry_ring(entries: np.ndarray) -> tuple[str, int]:
+    """(ring, n_generators) of values laid out as for :func:`skew_from_pairs`:
+    (P,) real or complex, or (P, 2**n) coefficients in C_n."""
+    if entries.ndim == 2:
+        return MULTICOMPLEX, entries.shape[1].bit_length() - 1
+    return (COMPLEX if np.iscomplexobj(entries) else REAL), 0
 
 
 def skew_from_upper(order: int, entries: dict, ring: str = REAL, n_generators: int = 0) -> SkewMatrix:

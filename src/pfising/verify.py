@@ -197,7 +197,7 @@ def reduced_minor(pair: str) -> tuple[IncidenceMatrix, MinorTransform]:
 def z_reduced(inc: IncidenceMatrix, w: WeightFunction) -> float:
     """Z from a reduced matrix; its all-links reference matching divides every
     link entry by its weight, which the weight product restores."""
-    aw = weighted_matrix(inc.skew, inc.dart_graph, inc.reference_matching, w.values)
+    aw = weighted_matrix(inc.entries, inc.dart_graph, inc.reference_matching, w.values)
     return float(np.prod(w.values)) * float(pfaffian(aw)) / inc.lam
 
 

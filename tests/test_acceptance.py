@@ -92,7 +92,7 @@ def test_criterion_3_functional_constancy():
         inc = build_incidence_matrix(g2, s2)
         red = reduce_to_minor(inc, compose_transforms(t2, t1), fx.graph)
         values = [
-            f_weight(red.skew, red.dart_graph, red.reference_matching, c)
+            f_weight(red.entries, red.dart_graph, red.reference_matching, c)
             for c in enumerate_closed_curves(fx.graph)
         ]
         top = max(abs(v) for v in values)
@@ -218,7 +218,7 @@ def test_criterion_8_minor_reduction():
             w = WeightFunction(rng.uniform(1e-12, 1.0, minor.num_edges))
             zb = z_bruteforce(minor, w)
             aw = weighted_matrix(
-                inc.skew, inc.dart_graph, inc.reference_matching, w.values
+                inc.entries, inc.dart_graph, inc.reference_matching, w.values
             )
             z = float(np.prod(w.values)) * float(pfaffian(aw)) / inc.lam
             worst = max(worst, abs(z - zb) / abs(zb))

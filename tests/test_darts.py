@@ -8,6 +8,7 @@ from pfising.darts import (
     even_degree_matching,
     f_weight,
     matching_to_curve,
+    pattern_entries,
     phi,
 )
 from pfising.fixtures import get_fixture
@@ -116,7 +117,7 @@ def test_f_weight_zero_when_no_preimage():
     a = random_incidence_matrix(d, rng)
     m0 = canonical_matching(d)
     # a single edge is not a closed curve: no matching maps to it
-    assert f_weight(a, d, m0, 0b001) == 0.0
+    assert f_weight(pattern_entries(a, d), d, m0, 0b001) == 0.0
 
 
 def test_f_weight_against_direct_enumeration():
@@ -124,6 +125,7 @@ def test_f_weight_against_direct_enumeration():
     for g in (K3, C4, K4, K33):
         d = build_dart_graph(g)
         a = random_incidence_matrix(d, rng)
+        entries = pattern_entries(a, d)
         m0 = canonical_matching(d)
         matchings = enumerate_matchings(d)
         direct = {}
@@ -135,7 +137,7 @@ def test_f_weight_against_direct_enumeration():
                 term *= a.data[i, j]
             direct[c] = direct.get(c, 0.0) + term
         for c, expected in direct.items():
-            assert f_weight(a, d, m0, c) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            assert f_weight(entries, d, m0, c) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 def test_pfaffian_expands_as_weighted_curve_sum():
@@ -143,15 +145,15 @@ def test_pfaffian_expands_as_weighted_curve_sum():
     rng = np.random.default_rng(2)
     for g in (K3, C4, K4, K33, K5):
         d = build_dart_graph(g)
-        a = random_incidence_matrix(d, rng)
+        entries = pattern_entries(random_incidence_matrix(d, rng), d)
         m0 = canonical_matching(d)
         w = rng.uniform(0.2, 1.5, g.num_edges)
-        aw = weighted_matrix(a, d, m0, w)
+        aw = weighted_matrix(entries, d, m0, w)
         lhs = pfaffian(aw)
         total = 0.0
         for c in enumerate_closed_curves(g):
             wc = float(np.prod([w[e] for e in g.curve_edges(c)]))
-            total += wc * f_weight(a, d, m0, c)
+            total += wc * f_weight(entries, d, m0, c)
         rhs = total / float(np.prod(w))
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -173,7 +175,7 @@ def test_f_weight_site_block_identity():
     expected = float(
         np.prod([site_block_pfaffian(site, v) for v in range(g2.num_vertices)])
     )
-    value = f_weight(inc.skew, inc.dart_graph, inc.reference_matching, 0)
+    value = f_weight(inc.entries, inc.dart_graph, inc.reference_matching, 0)
     assert value == pytest.approx(expected, rel=1e-12)
     assert value == pytest.approx(inc.lam, rel=1e-12)
 
@@ -187,4 +189,4 @@ def test_f_weight_rejects_wrong_zero_pattern():
     data[5, 0] = -1.0
     a = SkewMatrix("real", data)
     with pytest.raises(GraphError, match="pattern"):
-        f_weight(a, d, canonical_matching(d), 0)
+        pattern_entries(a, d)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfising.darts import build_dart_graph, canonical_matching, f_weight
+from pfising.darts import build_dart_graph, canonical_matching, f_weight, pattern_entries
 from pfising.embeddings import face_boundary_basis, resolve_planar_scheme
 from pfising.fixtures import get_fixture, minor_pair, torus_grid
 from pfising.graphs import enumerate_closed_curves
@@ -192,7 +192,7 @@ def test_functional_constant_on_planar_fixtures():
         inc = build_incidence_matrix(g2, s2)
         reduced = reduce_to_minor(inc, t, g)
         values = [
-            f_weight(reduced.skew, reduced.dart_graph, reduced.reference_matching, c)
+            f_weight(reduced.entries, reduced.dart_graph, reduced.reference_matching, c)
             for c in enumerate_closed_curves(g)
         ]
         top = max(abs(v) for v in values)
@@ -287,7 +287,7 @@ def test_reduced_minor_has_its_own_edge_masks(name):
         coeff, mono = inc.class_values[cls]
         expected = np.zeros(1 << inc.n_generators)
         expected[mono] = coeff
-        value = f_weight(inc.skew, inc.dart_graph, inc.reference_matching, c)
+        value = f_weight(inc.entries, inc.dart_graph, inc.reference_matching, c)
         assert np.ravel(getattr(value, "coeffs", value)) == pytest.approx(expected, abs=1e-12)
 
 
@@ -296,18 +296,19 @@ def test_weighted_matrix_branches():
     d = build_dart_graph(fx.graph)
     rng = np.random.default_rng(3)
     a = random_incidence_matrix(d, rng)
+    entries = pattern_entries(a, d)
     ones = np.ones(fx.graph.num_edges)
-    assert np.allclose(weighted_matrix(a, d, frozenset(), ones).data, a.data)
+    assert np.allclose(weighted_matrix(entries, d, frozenset(), ones).data, a.data)
     w = rng.uniform(0.5, 2.0, fx.graph.num_edges)
     m_all = canonical_matching(d)
-    scaled = weighted_matrix(a, d, m_all, w)  # every link entry divided
+    scaled = weighted_matrix(entries, d, m_all, w)  # every link entry divided
     for e, (i, j) in enumerate(d.link_edges):
         assert scaled.data[i, j] == pytest.approx(a.data[i, j] / w[e])
-    scaled2 = weighted_matrix(a, d, frozenset(), w)  # every link entry multiplied
+    scaled2 = weighted_matrix(entries, d, frozenset(), w)  # every link entry multiplied
     for e, (i, j) in enumerate(d.link_edges):
         assert scaled2.data[i, j] == pytest.approx(a.data[i, j] * w[e])
     with pytest.raises(ValueError, match="positive"):
-        weighted_matrix(a, d, m_all, np.zeros(fx.graph.num_edges))
+        weighted_matrix(entries, d, m_all, np.zeros(fx.graph.num_edges))
 
 
 def test_reduce_to_minor_empty_transform_is_identity():
@@ -336,7 +337,7 @@ def test_reduce_contract_one_edge_preserves_z():
             float(np.prod([w[e] for e in minor.curve_edges(c)]))
             for c in enumerate_closed_curves(minor)
         )
-        aw = weighted_matrix(red.skew, red.dart_graph, red.reference_matching, w)
+        aw = weighted_matrix(red.entries, red.dart_graph, red.reference_matching, w)
         z = float(np.prod(w)) * float(pfaffian(aw)) / red.lam
         assert z == pytest.approx(zb, rel=1e-9)
 

@@ -3,14 +3,16 @@ import pytest
 
 from pfising import skewpf
 from pfising.embeddings import SchemeError
-from pfising.fixtures import get_fixture, torus_grid
+from pfising.fixtures import fixture_names, get_fixture, torus_grid
 from pfising.graphs import CURVE_ENUM_MAX_BETTI, Graph, GraphError, first_betti
+from pfising.kasteleyn import weighted_matrix
 from pfising.partition import (
     IsingModel,
     NonplanarSolver,
     PlanarPfaffianSolver,
     WeightFunction,
     ising_bruteforce,
+    ising_prefactor,
     ising_weights,
     ising_z,
     z_bruteforce,
@@ -69,11 +71,28 @@ def test_planar_route_matches_bruteforce(name):
         assert abs(solver.evaluate(w) - zb) / abs(zb) <= 1e-9
 
 
-def test_planar_solver_holds_one_dense_matrix():
+def test_planar_solver_holds_no_dense_matrix():
     fx = get_fixture("grid3x3")
     solver = PlanarPfaffianSolver(fx.graph, fx.scheme)
     held = list(vars(solver).values()) + list(vars(solver.inc).values())
-    assert sum(isinstance(v, skewpf.SkewMatrix) for v in held) == 1
+    assert not any(isinstance(v, skewpf.SkewMatrix) for v in held)
+
+
+def test_sampled_torus_build_makes_no_host_matrix_dense(monkeypatch):
+    # beta1 = 26 takes the sampled calibration, which reads the class table
+    # from the entries alone: only per-vertex site blocks become matrices
+    fx = torus_grid(5)
+    orders = []
+    post_init = skewpf.SkewMatrix.__post_init__
+
+    def recording(self):
+        post_init(self)
+        orders.append(self.order)
+
+    monkeypatch.setattr(skewpf.SkewMatrix, "__post_init__", recording)
+    solver = NonplanarSolver(fx.graph, fx.alt_schemes["even-crosscaps"])
+    assert orders and max(orders) < solver.inc.dart_graph.num_darts
+    assert not any(isinstance(v, skewpf.SkewMatrix) for v in vars(solver).values())
 
 
 def test_planar_route_rejects_nonplanar_scheme():
@@ -214,6 +233,60 @@ def test_ising_model_validation():
         IsingModel(g, np.array([1.0, -1.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
         IsingModel(g, np.ones(3), 0.0)
+
+
+def _with_bad_first(n, bad):
+    values = np.full(n, 0.5)
+    values[0] = bad
+    return values
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["weight", "weighted_matrix", "beta", "coupling"])
+def test_nonfinite_inputs_rejected(where, bad):
+    fx = get_fixture("grid3x3")
+    g = fx.graph
+    if where == "weighted_matrix":
+        solver = PlanarPfaffianSolver(g, fx.scheme)
+        inc = solver.inc
+        args = (solver.entries, inc.dart_graph, inc.reference_matching,
+                _with_bad_first(solver.host.num_edges, bad))
+    with pytest.raises(ValueError, match="finite"):
+        if where == "weight":
+            WeightFunction(_with_bad_first(g.num_edges, bad))
+        elif where == "weighted_matrix":
+            weighted_matrix(*args)
+        elif where == "beta":
+            IsingModel(g, np.ones(g.num_edges), bad)
+        else:
+            IsingModel(g, _with_bad_first(g.num_edges, bad), 1.0)
+
+
+def test_ising_prefactor_matches_direct_product():
+    rng = np.random.default_rng(4)
+    for name in fixture_names():
+        g = get_fixture(name).graph
+        m = IsingModel(g, rng.uniform(0.05, 2.0, g.num_edges), rng.uniform(0.1, 2.0))
+        direct = 2.0 ** g.num_vertices * np.prod(np.cosh(m.beta * m.couplings))
+        assert ising_prefactor(m) == pytest.approx(direct, rel=1e-14)
+
+
+def _open_grid_graph(side):
+    right = [(side * r + c, side * r + c + 1) for r in range(side) for c in range(side - 1)]
+    down = [(side * r + c, side * (r + 1) + c) for r in range(side - 1) for c in range(side)]
+    return Graph(side * side, tuple(right + down))
+
+
+@pytest.mark.parametrize("g, beta", [
+    (_open_grid_graph(24), 1.0),  # fits as 2**|V|, overflows with the cosh product
+    (Graph(1089, tuple((i, i + 1) for i in range(1088))), 1e-3),  # 2**|V| alone overflows
+], ids=["open-grid-24", "path-1089"])
+def test_ising_prefactor_overflow_names_its_log(g, beta):
+    m = IsingModel(g, np.ones(g.num_edges), beta)
+    expected = g.num_vertices * np.log(2.0) + g.num_edges * np.log(np.cosh(beta))
+    with pytest.raises(OverflowError, match="log") as info:
+        ising_prefactor(m)
+    assert float(str(info.value).rsplit(" ", 1)[1]) == pytest.approx(expected, rel=1e-12)
 
 
 def _torus_curve_sum(side, w):
