@@ -47,7 +47,6 @@ from .multicomplex import (
     CharacterMap,
     MulticomplexValue,
     all_characters,
-    even_subalgebra_embed,
 )
 from .skewpf import (
     SkewMatrix,

@@ -201,95 +201,3 @@ def value_from_character_images(images, n: int, imag_tol: float = 1e-8) -> Multi
     if np.any(np.abs(coeffs.imag) > imag_tol * scale_ref):
         raise ValueError("character images inconsistent with a C_n element")
     return MulticomplexValue(n, coeffs.real)
-
-
-@dataclass(frozen=True)
-class EvenSubalgebraValue:
-    """Element of the subalgebra of C_n generated by e_j = i_1 * i_{j+1}.
-
-    The e_j commute and square to +1; coefficients are indexed by subsets of
-    {1..n-1} (bit j-1 <-> e_j).
-    """
-
-    n_even: int
-    coeffs: np.ndarray
-
-    def real_character(self, signs: tuple[int, ...]) -> float:
-        """Image under the real character e_j -> signs[j-1]."""
-        if len(signs) != self.n_even:
-            raise ValueError("mismatched generator counts")
-        total = 0.0
-        for mask in range(1 << self.n_even):
-            c = self.coeffs[mask]
-            if c == 0.0:
-                continue
-            sign = 1
-            for j in range(self.n_even):
-                if mask >> j & 1:
-                    sign *= signs[j]
-            total += sign * c
-        return total
-
-
-def _even_monomial_to_e(subset: int, n: int) -> tuple[int, float]:
-    """Rewrite prod_{k in subset} i_k (|subset| even) over the e_j basis.
-
-    Returns (e-subset mask over bits 0..n-2 for e_1..e_{n-1}, sign)."""
-    size = int(subset).bit_count()
-    if size % 2:
-        raise ValueError("odd monomial is not in the even subalgebra")
-    if subset & 1:  # contains i_1
-        rest = subset >> 1
-        m = size - 1  # odd
-        sign = (-1.0) ** ((m + 1) // 2 + 1)
-        return rest, sign
-    rest = subset >> 1
-    sign = (-1.0) ** (size // 2)
-    return rest, sign
-
-
-def _e_monomial_to_mc(e_subset: int, n: int) -> tuple[int, float]:
-    """Inverse of :func:`_even_monomial_to_e`."""
-    size = int(e_subset).bit_count()
-    if size % 2:  # odd number of e_j: prod contains one leftover i_1
-        subset = (e_subset << 1) | 1
-        sign = (-1.0) ** ((size + 1) // 2 + 1)
-    else:
-        subset = e_subset << 1
-        sign = (-1.0) ** (size // 2)
-    return subset, sign
-
-
-def even_subalgebra_embed(x: MulticomplexValue, tol: float = 0.0) -> EvenSubalgebraValue:
-    """Re-express x over the square-one generators e_j = i_1 * i_{j+1}.
-
-    Raises ValueError if x has a coefficient on an odd-cardinality subset.
-    """
-    n = x.n
-    if n < 1:
-        raise ValueError("need at least one generator")
-    scale = max(1.0, x.max_abs())
-    out = np.zeros(1 << (n - 1))
-    for subset in range(1 << n):
-        c = x.coeffs[subset]
-        if c == 0.0 or abs(c) <= tol * scale:
-            continue
-        if int(subset).bit_count() % 2:
-            raise ValueError("not in even subalgebra")
-        e_subset, sign = _even_monomial_to_e(subset, n)
-        out[e_subset] += sign * c
-    return EvenSubalgebraValue(n - 1, out)
-
-
-def even_subalgebra_lift(x: EvenSubalgebraValue) -> MulticomplexValue:
-    """Map an e-basis element back into C_{n_even+1}."""
-    n = x.n_even + 1
-    out = MulticomplexValue.zero(n)
-    coeffs = out.coeffs
-    for e_subset in range(1 << x.n_even):
-        c = x.coeffs[e_subset]
-        if c == 0.0:
-            continue
-        subset, sign = _e_monomial_to_mc(e_subset, n)
-        coeffs[subset] += sign * c
-    return out

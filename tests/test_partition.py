@@ -3,7 +3,7 @@ import pytest
 
 from pfising import skewpf
 from pfising.embeddings import SchemeError
-from pfising.fixtures import fixture_names, get_fixture, torus_grid
+from pfising.fixtures import _grid_graph, fixture_names, get_fixture, torus_grid
 from pfising.graphs import CURVE_ENUM_MAX_BETTI, Graph, GraphError, first_betti
 from pfising.kasteleyn import weighted_matrix
 from pfising.partition import (
@@ -289,24 +289,48 @@ def test_ising_prefactor_overflow_names_its_log(g, beta):
     assert float(str(info.value).rsplit(" ", 1)[1]) == pytest.approx(expected, rel=1e-12)
 
 
-def _torus_curve_sum(side, w):
-    """Z_G(w) on the side x side torus grid by a row transfer matrix, from
-    2**|V| Z_G(w) = sum over spins s of prod_e (1 + w_e s_u s_v)."""
-    wh = w[0::2].reshape(side, side)  # edge 2 * (side * r + c) runs right
-    wv = w[1::2].reshape(side, side)  # edge 2 * (side * r + c) + 1 runs down
+def _torus_curve_sum(wh, wv):
+    """Z_G(w) on a side x side grid by a row transfer matrix, from
+    2**|V| Z_G(w) = sum over spins s of prod_e (1 + w_e s_u s_v).
+
+    ``wh[r, c]`` weighs the edge right of vertex (r, c) and ``wv[r, c]`` the
+    edge below it, both wrapping around; a zero weight leaves the edge out,
+    so an open strip is the torus with its wrap edges at 0."""
+    side = len(wh)
     spins = 1 - 2 * ((np.arange(1 << side)[:, None] >> np.arange(side)) & 1)
-    total = np.eye(1 << side)
+    # With no wrap-down bonds the last bond matrix is all ones, and the trace
+    # of X times it is the sum of X's entries: one row of X is enough.
+    total = np.eye(1 << side) if wv[-1].any() else np.ones((1, 1 << side))
     for r in range(side):
-        across = np.prod(1 + wh[r] * spins * np.roll(spins, -1, axis=1), axis=1)
-        down = np.prod(1 + wv[r] * spins[:, None, :] * spins[None, :, :], axis=2)
-        total = total @ (across[:, None] * down)
+        total = total * np.prod(1 + wh[r] * spins * np.roll(spins, -1, axis=1), axis=1)
+        for c, x in enumerate(wv[r]):  # the bond below column c acts on bit c
+            bond = np.array([[1 + x, 1 - x], [1 - x, 1 + x]])
+            t = total.reshape(-1, 1 << (side - 1 - c), 2, 1 << c)
+            total = np.einsum("abjd,jk->abkd", t, bond).reshape(total.shape)
     return float(np.trace(total)) / 2.0 ** (side * side)
+
+
+def _torus_grid_curve_sum(side, w):
+    # torus_grid: edge 2 * (side * r + c) runs right, the next one down
+    return _torus_curve_sum(w[0::2].reshape(side, side), w[1::2].reshape(side, side))
+
+
+def _open_grid_curve_sum(g, side, w):
+    wh, wv = np.zeros((side, side)), np.zeros((side, side))
+    for (u, v), we in zip(g.edges, w):
+        (wh if v == u + 1 else wv)[divmod(u, side)] = we
+    return _torus_curve_sum(wh, wv)
 
 
 def test_torus_curve_sum_matches_bruteforce():
     g = torus_grid(3).graph
     w = np.random.default_rng(3).uniform(0.1, 1.0, g.num_edges)
-    assert _torus_curve_sum(3, w) == pytest.approx(z_bruteforce(g, WeightFunction(w)), rel=1e-12)
+    exact = z_bruteforce(g, WeightFunction(w))
+    assert _torus_grid_curve_sum(3, w) == pytest.approx(exact, rel=1e-12)
+    g, _ = _grid_graph(4, 4)
+    w = np.random.default_rng(4).uniform(0.1, 1.0, g.num_edges)
+    exact = z_bruteforce(g, WeightFunction(w))
+    assert _open_grid_curve_sum(g, 4, w) == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("side", [5, 6])
@@ -318,8 +342,20 @@ def test_torus_beyond_enumeration(side):
     rng = np.random.default_rng(side)
     for _ in range(3):
         w = rng.uniform(0.1, 1.0, g.num_edges)
-        exact = _torus_curve_sum(side, w)
+        exact = _torus_grid_curve_sum(side, w)
         weights = WeightFunction(w)
         for route in (solver.evaluate_multicomplex, solver.evaluate_complex_sum,
                       solver.evaluate_real_sum):
             assert route(weights) == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("side", [8, 10])
+def test_planar_grid_beyond_enumeration(side):
+    g, scheme = _grid_graph(side, side)
+    assert first_betti(g) > CURVE_ENUM_MAX_BETTI
+    solver = PlanarPfaffianSolver(g, scheme)
+    rng = np.random.default_rng(side)
+    for _ in range(3):
+        w = rng.uniform(0.05, 0.95, g.num_edges)
+        exact = _open_grid_curve_sum(g, side, w)
+        assert solver.evaluate(WeightFunction(w)) == pytest.approx(exact, rel=1e-9)

@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfising.multicomplex import MulticomplexValue
+from pfising.fixtures import _grid_graph, torus_grid
+from pfising.kasteleyn import weighted_matrix
+from pfising.multicomplex import MulticomplexValue, half_character_table
+from pfising.partition import NonplanarSolver, PlanarPfaffianSolver
 from pfising.skewpf import (
     SkewMatrix,
+    _pfaffian_field,
     derived_matrix,
     matching_sign,
     pfaffian,
@@ -168,6 +172,89 @@ def test_skew_validation():
         SkewMatrix("real", np.ones((2, 2)))
     with pytest.raises(ValueError):
         SkewMatrix("bogus", np.zeros((2, 2)))
+    exact = random_skew(np.random.default_rng(18), 6).data
+    exact[0, 1] = exact[1, 0] = 0.0  # the tolerance there is atol=1e-12 alone
+    assert np.array_equal(SkewMatrix("real", exact).data, exact)
+    near = exact.copy()
+    near[0, 1] += 1e-14  # not exactly skew, inside the tolerance
+    assert SkewMatrix("real", near).data[0, 1] == near[0, 1]
+    for bad in (1e-6, np.nan):
+        off = exact.copy()
+        off[0, 1] += bad
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            SkewMatrix("real", off)
+
+
+def _dense_pfaffian(mat):
+    """Parlett-Reid with the rank-2 update applied to the whole trailing
+    block: the reference that the kernel must reproduce bit for bit."""
+    a = np.array(mat, copy=True)
+    n = a.shape[0]
+    if n == 0:
+        return 1.0
+    pf = 1.0 + 0.0j if np.iscomplexobj(a) else 1.0
+    sign = 1.0
+    for k in range(0, n - 2, 2):
+        p = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
+        if a[p, k] == 0:
+            return 0.0 * pf
+        if p != k + 1:
+            a[[k + 1, p], :] = a[[p, k + 1], :]
+            a[:, [k + 1, p]] = a[:, [p, k + 1]]
+            sign = -sign
+        piv = a[k, k + 1]
+        pf = pf * piv
+        u = a[k, k + 2:]
+        v = a[k + 1, k + 2:]
+        a[k + 2:, k + 2:] -= (np.outer(u, v) - np.outer(v, u)) / piv
+    return sign * (pf * a[n - 2, n - 1])
+
+
+def _sparse_skew(rng, n, density, complex_):
+    """Skew matrix with about ``density`` of its entries nonzero, magnitudes
+    spread over e**-14 .. e**14, and in about one draw in ten a zero row and
+    column."""
+    m = rng.normal(size=(n, n)) * np.exp(rng.uniform(-14, 14, (n, n)))
+    if complex_:
+        m = m + 1j * rng.normal(size=(n, n)) * np.exp(rng.uniform(-14, 14, (n, n)))
+    m = np.triu(m * (rng.random((n, n)) < density), 1)
+    m = m - m.T
+    if rng.random() < 0.1:
+        z = rng.integers(n)
+        m[z, :] = 0
+        m[:, z] = 0
+    return m
+
+
+def _assert_kernel_identical(m):
+    got, want = _pfaffian_field(m), _dense_pfaffian(m)
+    assert got == want, (got, want)
+
+
+def test_kernel_identical_to_dense_update_on_random_matrices():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        n = 2 * int(rng.integers(1, 41))
+        density = rng.choice([0.02, 0.05, 0.1, 0.3, 0.6, 1.0])
+        _assert_kernel_identical(_sparse_skew(rng, n, density, rng.random() < 0.5))
+
+
+def test_kernel_identical_to_dense_update_on_dart_matrices():
+    solver = PlanarPfaffianSolver(*_grid_graph(8, 8))
+    rng = np.random.default_rng(20)
+    wt = rng.uniform(0.05, 0.95, solver.host.num_edges)
+    d, m0 = solver.inc.dart_graph, solver.inc.reference_matching
+    _assert_kernel_identical(weighted_matrix(solver.entries, d, m0, wt).data)
+
+    fx = torus_grid(4)
+    torus = NonplanarSolver(fx.graph, fx.alt_schemes["even-crosscaps"])
+    wt = rng.uniform(0.05, 0.95, torus.host.num_edges)
+    d, m0 = torus.inc.dart_graph, torus.inc.reference_matching
+    a = weighted_matrix(torus.entries, d, m0, wt)
+    images = np.moveaxis(a.data @ half_character_table(a.n_generators), 2, 0)
+    assert len(images) == 4 and not images.imag.any()
+    for image in images.real:
+        _assert_kernel_identical(image)
 
 
 @settings(max_examples=40, deadline=None)
